@@ -9,7 +9,6 @@ relations among coefficient sequences with fraction-free linear algebra.
 
 from . import catalog
 from .congruence import (
-    AT_ONE_DEGREE_THRESHOLD,
     CongruenceFailure,
     CongruenceReport,
     HypothesisViolated,
@@ -44,7 +43,6 @@ from .landau import (
     signature_at,
 )
 from .qcombinatorics import (
-    RESIDUE_DEGREE_THRESHOLD,
     NegativeExponent,
     RatioSpec,
     iter_box,
@@ -79,7 +77,6 @@ from .series import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AT_ONE_DEGREE_THRESHOLD",
     "CellSignature",
     "CellValue",
     "CongruenceFailure",
@@ -97,7 +94,6 @@ __all__ = [
     "NotMonic",
     "NotPrime",
     "OrderTooSmall",
-    "RESIDUE_DEGREE_THRESHOLD",
     "RatioSpec",
     "RationalPoint",
     "RelationCandidate",

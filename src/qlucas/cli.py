@@ -31,7 +31,7 @@ from .congruence import (
 )
 from .intpoly import IntPolynomial, NotDivisible, cyclotomic, reduce_mod_cyclotomic
 from .landau import DEFAULT_BUDGET, check_landau
-from .qcombinatorics import RatioSpec, q_binomial, q_ratio, q_ratio_at_one, q_ratio_mod
+from .qcombinatorics import NegativeExponent, RatioSpec, q_binomial, q_ratio, q_ratio_at_one, q_ratio_mod
 from .relations import DEFAULT_MARGIN, find_relations, verify_relation
 from .series import TruncatedSeries, build_F, extract_cofactor, specialize, verify_definition_Ld
 
@@ -163,12 +163,12 @@ def _cmd_qratio(args):
         except NotDivisible as exc:
             return params, {"integral": False, "error": str(exc)}, False
         return params, {"integral": True, "value_at_one": value}, True
-    if args.mod is not None:
-        poly = q_ratio_mod(spec, args.point, args.mod)
-        return params, {"mod": args.mod, **_poly_json(poly)}, True
     try:
+        if args.mod is not None:
+            poly = q_ratio_mod(spec, args.point, args.mod)
+            return params, {"mod": args.mod, **_poly_json(poly)}, True
         poly = q_ratio(spec, args.point)
-    except NotDivisible as exc:
+    except (NotDivisible, NegativeExponent) as exc:
         return params, {"integral": False, "error": str(exc)}, False
     return params, {"integral": True, **_poly_json(poly)}, True
 

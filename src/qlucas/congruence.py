@@ -7,34 +7,33 @@ the ratio congruence and its q = 1 shadow refuse specs that do not satisfy
 their hypotheses (balanced column sums plus both step-function conditions);
 they are checkers of stated facts, not explorers.
 
-Residues at q = 1 are integers. They are obtained by evaluating the exact
-ratio polynomial when its degree is small and by pure integer factorial
-arithmetic above AT_ONE_DEGREE_THRESHOLD; the two routes agree and are tested
-against each other.
+Residues modulo cyclotomic(b) come from the cyclotomic exponent vector of
+each point and values at q = 1 from integer factorials; no full ratio
+polynomial is built. A sweep over many moduli memoizes both per point for
+the length of the call, since a point a + n b recurs for every b it can be
+written at.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import catalog
 from .intpoly import IntPolynomial, reduce_mod_cyclotomic
 from .landau import check_landau
 from .qcombinatorics import (
     RatioSpec,
+    cyclotomic_exponents,
+    exponent_residue,
     iter_box,
     q_binomial,
-    q_ratio,
     q_ratio_at_one,
     q_ratio_mod,
-    ratio_degree,
 )
-
-# Ratio degree above which q = 1 values skip the polynomial entirely.
-AT_ONE_DEGREE_THRESHOLD = 50_000
 
 
 class HypothesisViolated(ValueError):
@@ -113,15 +112,44 @@ def _require_integrality(spec: RatioSpec, subject: str) -> None:
         raise HypothesisViolated(f"{subject}: step function is negative somewhere")
 
 
-def _ratio_at_one(spec: RatioSpec, n: tuple[int, ...], cache: dict) -> int:
-    hit = cache.get(n)
-    if hit is None:
-        if ratio_degree(spec, n) > AT_ONE_DEGREE_THRESHOLD:
-            hit = q_ratio_at_one(spec, n)
-        else:
-            hit = q_ratio(spec, n).eval_at_one()
-        cache[n] = hit
-    return hit
+@dataclass
+class _PointMemo:
+    """Exponent vectors and q = 1 values of one spec, keyed by point, for one call."""
+
+    spec: RatioSpec
+    exponents: dict = field(default_factory=dict)
+    at_one: dict = field(default_factory=dict)
+
+    def ratio_at_one(self, n: tuple[int, ...]) -> int:
+        hit = self.at_one.get(n)
+        if hit is None:
+            hit = self.at_one[n] = q_ratio_at_one(self.spec, n)
+        return hit
+
+    def residue(self, n: tuple[int, ...], b: int) -> IntPolynomial:
+        """The ratio at n modulo cyclotomic(b); the spec must be integral."""
+        exponents = self.exponents.get(n)
+        if exponents is None:
+            exponents = self.exponents[n] = cyclotomic_exponents(self.spec, n)
+        return exponent_residue(exponents, b)
+
+
+def _run_sweep(sweep: Callable, spec: RatioSpec, moduli: list[int], n_box: tuple[int, ...], jobs: int):
+    """(checked, failures) of sweep over the moduli, on at most jobs workers.
+
+    Workers are also capped by the number of moduli and of CPUs. Worker k
+    takes moduli[k::workers], which spreads the costly large moduli; a stable
+    sort by modulus restores the serial order of the failures.
+    """
+    workers = min(jobs, len(moduli), os.cpu_count() or 1)
+    if workers > 1:
+        chunks = [moduli[k::workers] for k in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(sweep, [spec] * workers, chunks, [n_box] * workers))
+    else:
+        parts = [sweep(spec, moduli, n_box)]
+    failures = sorted((f for _, part in parts for f in part), key=lambda f: f.b)
+    return sum(checked for checked, _ in parts), failures
 
 
 def _primes_up_to(limit: int) -> list[int]:
@@ -140,22 +168,24 @@ def _primes_up_to(limit: int) -> list[int]:
 # -- ratio congruence ----------------------------------------------------------------
 
 
-def _sweep_ratio_modulus(
-    spec: RatioSpec, b: int, n_box: tuple[int, ...]
+def _sweep_ratio_moduli(
+    spec: RatioSpec, moduli: list[int], n_box: tuple[int, ...]
 ) -> tuple[int, list[CongruenceFailure]]:
     checked = 0
     failures: list[CongruenceFailure] = []
-    at_one: dict = {}
+    memo = _PointMemo(spec)
+    steps = [(n, memo.ratio_at_one(n)) for n in iter_box(n_box)]
     d = spec.dim
-    for a in iter_box((b - 1,) * d):
-        base_res = reduce_mod_cyclotomic(q_ratio(spec, a), b)
-        for n in iter_box(n_box):
-            checked += 1
-            point = tuple(a[i] + n[i] * b for i in range(d))
-            lhs = q_ratio_mod(spec, point, b)
-            rhs = reduce_mod_cyclotomic(base_res * _ratio_at_one(spec, n, at_one), b)
-            if lhs != rhs:
-                failures.append(CongruenceFailure(b, a, n, lhs, rhs))
+    for b in moduli:
+        for a in iter_box((b - 1,) * d):
+            base_res = memo.residue(a, b)
+            for n, n_at_one in steps:
+                checked += 1
+                point = tuple(a[i] + n[i] * b for i in range(d))
+                lhs = memo.residue(point, b)
+                rhs = reduce_mod_cyclotomic(base_res * n_at_one, b)
+                if lhs != rhs:
+                    failures.append(CongruenceFailure(b, a, n, lhs, rhs))
     return checked, failures
 
 
@@ -167,7 +197,8 @@ def verify_ratio_congruence(
     Runs over every modulus b = 1..b_max, offset a in the box below b, and
     step n in the given box, inclusive. Requires a balanced spec that passes
     both step-function hypotheses. jobs > 1 distributes moduli over worker
-    processes; the merged report is identical to the serial one.
+    processes, at most one per modulus and per CPU; the merged report is
+    identical to the serial one.
     """
     n_box = tuple(n_box)
     if len(n_box) != spec.dim or any(c < 0 for c in n_box):
@@ -179,42 +210,33 @@ def verify_ratio_congruence(
         subject="ratio-congruence",
         ranges={"spec": spec.to_json_dict(), "b_max": b_max, "n_box": list(n_box)},
     )
-    moduli = range(1, b_max + 1)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = pool.map(_sweep_ratio_modulus, [spec] * b_max, moduli, [n_box] * b_max)
-            for checked, failures in chunks:
-                report.checked += checked
-                report.failures.extend(failures)
-    else:
-        for b in moduli:
-            checked, failures = _sweep_ratio_modulus(spec, b, n_box)
-            report.checked += checked
-            report.failures.extend(failures)
+    moduli = list(range(1, b_max + 1))
+    report.checked, report.failures = _run_sweep(_sweep_ratio_moduli, spec, moduli, n_box, jobs)
     return report
 
 
 # -- q = 1 shadow ---------------------------------------------------------------------
 
 
-def _sweep_plucas_prime(
-    spec: RatioSpec, p: int, n_box: tuple[int, ...]
+def _sweep_plucas_primes(
+    spec: RatioSpec, primes: list[int], n_box: tuple[int, ...]
 ) -> tuple[int, list[CongruenceFailure]]:
     checked = 0
     failures: list[CongruenceFailure] = []
-    at_one: dict = {}
+    memo = _PointMemo(spec)
     d = spec.dim
-    for a in iter_box((p - 1,) * d):
-        base = _ratio_at_one(spec, a, at_one) % p
-        for n in iter_box(n_box):
-            checked += 1
-            point = tuple(a[i] + n[i] * p for i in range(d))
-            lhs = _ratio_at_one(spec, point, at_one) % p
-            rhs = base * (_ratio_at_one(spec, n, at_one) % p) % p
-            if lhs != rhs:
-                failures.append(
-                    CongruenceFailure(p, a, n, IntPolynomial((lhs,)), IntPolynomial((rhs,)))
-                )
+    for p in primes:
+        for a in iter_box((p - 1,) * d):
+            base = memo.ratio_at_one(a) % p
+            for n in iter_box(n_box):
+                checked += 1
+                point = tuple(a[i] + n[i] * p for i in range(d))
+                lhs = memo.ratio_at_one(point) % p
+                rhs = base * (memo.ratio_at_one(n) % p) % p
+                if lhs != rhs:
+                    failures.append(
+                        CongruenceFailure(p, a, n, IntPolynomial((lhs,)), IntPolynomial((rhs,)))
+                    )
     return checked, failures
 
 
@@ -235,19 +257,7 @@ def verify_plucas_at_one(
         subject="plucas-at-one",
         ranges={"spec": spec.to_json_dict(), "p_max": p_max, "n_box": list(n_box)},
     )
-    if jobs > 1 and primes:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = pool.map(
-                _sweep_plucas_prime, [spec] * len(primes), primes, [n_box] * len(primes)
-            )
-            for checked, failures in chunks:
-                report.checked += checked
-                report.failures.extend(failures)
-    else:
-        for p in primes:
-            checked, failures = _sweep_plucas_prime(spec, p, n_box)
-            report.checked += checked
-            report.failures.extend(failures)
+    report.checked, report.failures = _run_sweep(_sweep_plucas_primes, spec, primes, n_box, jobs)
     return report
 
 
@@ -270,13 +280,10 @@ def verify_inter2_identity(spec: RatioSpec, b: int, n_box: Sequence[int]) -> Con
         subject="inter2",
         ranges={"spec": spec.to_json_dict(), "b": b, "n_box": list(n_box)},
     )
-    at_one: dict = {}
     for n in iter_box(n_box):
         report.checked += 1
-        point = tuple(c * b for c in n)
-        lhs = q_ratio_mod(spec, point, b)
-        rhs = IntPolynomial((_ratio_at_one(spec, n, at_one),))
-        rhs = reduce_mod_cyclotomic(rhs, b)
+        lhs = q_ratio_mod(spec, tuple(c * b for c in n), b)
+        rhs = reduce_mod_cyclotomic(IntPolynomial((q_ratio_at_one(spec, n),)), b)
         if lhs != rhs:
             report.failures.append(CongruenceFailure(b, None, n, lhs, rhs))
     return report

@@ -39,10 +39,6 @@ Rational = Union[int, Fraction]
 #: Default cap on search nodes explored while enumerating cell signatures.
 DEFAULT_BUDGET = 10**6
 
-#: Placeholder used in JSON when the subdomain D is empty.
-EMPTY_DOMAIN = None
-
-
 class DimensionTooLarge(RuntimeError):
     """Cell enumeration exceeded its search budget."""
 
@@ -72,7 +68,6 @@ class CellSignature:
     """Constant floor values of every nonzero spec vector on one cell."""
 
     floors: tuple[tuple[Vector, int], ...]  # sorted by vector
-    feasible: bool
     witness: Optional[RationalPoint]
 
     def floors_dict(self) -> dict[Vector, int]:
@@ -301,7 +296,7 @@ def enumerate_cells(spec: RatioSpec, budget: int = DEFAULT_BUDGET) -> tuple[Cell
         if idx == len(vectors):
             witness = RationalPoint(point)
             floors = tuple(sorted(assigned))
-            results.append(CellSignature(floors, True, witness))
+            results.append(CellSignature(floors, witness))
             return
         t = vectors[idx]
         for m in range(sum(t)):
@@ -324,7 +319,7 @@ def check_landau(spec: RatioSpec, budget: int = DEFAULT_BUDGET) -> LandauReport:
     values = [CellValue(c, c.value(spec), c.in_domain) for c in cells]
     min_overall = min(cv.value for cv in values)
     domain_values = [cv.value for cv in values if cv.in_domain]
-    min_on_domain = min(domain_values) if domain_values else EMPTY_DOMAIN
+    min_on_domain = min(domain_values) if domain_values else None
     integrality = min_overall >= 0
     criterion = all(v >= 1 for v in domain_values)
     violating: list[CellValue] = []

@@ -9,9 +9,12 @@ nonnegative integer vector n the ratio is
 evaluated exactly in Z[q]. Three independent routes are provided: direct
 factor arithmetic (q_ratio), the cyclotomic product form (q_ratio_cyclotomic),
 and plain integers at q = 1 (q_ratio_at_one); they must agree wherever defined
-and the test suite holds them to that. q_ratio_mod returns only the canonical
-residue modulo cyclotomic(b), switching to a residue-product path above a
-degree threshold so congruence sweeps stay cheap.
+and the test suite holds them to that.
+
+The cyclotomic exponent vector {c: delta(n/c)} of a point decides whether the
+ratio is a polynomial and gives its residue modulo any cyclotomic(b) as a
+product of residue powers; q_ratio_mod takes that route alone and never
+builds the full polynomial.
 
 Internally every q-factorial is a multiset of binomial factors (1 - q^k)
 together with a power of (1 - q): [m]_q! = prod_{k<=m} (1 - q^k) * (1-q)^(-m).
@@ -31,6 +34,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .intpoly import (
     ONE,
+    ZERO,
     IntPolynomial,
     NotDivisible,
     cyclotomic,
@@ -38,11 +42,6 @@ from .intpoly import (
     mul_one_minus_qk,
     reduce_mod_cyclotomic,
 )
-
-# Estimated ratio degree above which q_ratio_mod uses the residue-product
-# path instead of building the full polynomial. Exact either way.
-RESIDUE_DEGREE_THRESHOLD = 64
-
 
 class NegativeExponent(ArithmeticError):
     """The cyclotomic product form hit a negative exponent; not a polynomial."""
@@ -231,20 +230,33 @@ def q_ratio_at_one(spec: RatioSpec, n: Sequence[int]) -> int:
     return quo
 
 
-def _delta_floor(spec: RatioSpec, n: Vector, b: int) -> int:
-    # Step function value at n/b using integer floors only.
-    return sum(dot(t, n) // b for t in spec.e) - sum(dot(t, n) // b for t in spec.f)
+def cyclotomic_exponents(spec: RatioSpec, n: Sequence[int]) -> dict[int, int]:
+    """The nonzero exponents {c: delta(n/c)} of the ratio at n, c >= 2, increasing.
 
-
-def _cyclotomic_exponents(spec: RatioSpec, n: Vector) -> list[tuple[int, int]]:
-    top = max((dot(t, n) for t in spec.all_vectors()), default=0)
-    out = []
-    for b in range(2, top + 1):
-        ex = _delta_floor(spec, n, b)
+    [m]_q! is the product over c >= 2 of cyclotomic(c)^floor(m/c), so the
+    ratio at n is the product of cyclotomic(c) to the step function at n/c.
+    Raises NegativeExponent at the smallest c whose exponent is negative: the
+    ratio is then not a polynomial.
+    """
+    n = _check_point(spec, n)
+    dots_e = [dot(t, n) for t in spec.e]
+    dots_f = [dot(t, n) for t in spec.f]
+    top = max(dots_e + dots_f, default=0)
+    # net[k]: numerator minus denominator factorials with m >= k, i.e. the net
+    # multiplicity of (1 - q^k); cyclotomic(c) divides (1 - q^k) iff c | k.
+    net = [0] * (top + 1)
+    for d in dots_e:
+        net[d] += 1
+    for d in dots_f:
+        net[d] -= 1
+    net = list(itertools.accumulate(reversed(net)))[::-1]
+    out: dict[int, int] = {}
+    for c in range(2, top + 1):
+        ex = sum(net[c::c])
         if ex < 0:
-            raise NegativeExponent(b, ex)
+            raise NegativeExponent(c, ex)
         if ex:
-            out.append((b, ex))
+            out[c] = ex
     return out
 
 
@@ -255,9 +267,8 @@ def q_ratio_cyclotomic(spec: RatioSpec, n: Sequence[int]) -> IntPolynomial:
     exponent proves the ratio is not a polynomial and raises NegativeExponent
     with the witness modulus.
     """
-    n = _check_point(spec, n)
     out = ONE
-    for b, ex in _cyclotomic_exponents(spec, n):
+    for b, ex in cyclotomic_exponents(spec, n).items():
         out = out * cyclotomic(b) ** ex
     return out
 
@@ -269,39 +280,27 @@ def ratio_degree(spec: RatioSpec, n: Sequence[int]) -> int:
     return sum(tri(dot(t, n)) for t in spec.e) - sum(tri(dot(t, n)) for t in spec.f)
 
 
-def q_ratio_mod(
-    spec: RatioSpec,
-    n: Sequence[int],
-    b: int,
-    degree_threshold: int = RESIDUE_DEGREE_THRESHOLD,
-) -> IntPolynomial:
+def q_ratio_mod(spec: RatioSpec, n: Sequence[int], b: int) -> IntPolynomial:
     """Canonical residue of the ratio at n modulo cyclotomic(b).
 
-    Below degree_threshold the full polynomial is built and reduced. Above it
-    the residue comes from the cyclotomic product form: the product over c of
-    (cyclotomic(c) mod cyclotomic(b)) raised to the step-function exponent,
-    reduced as it goes; any exponent at c = b makes the residue zero. Both
-    paths are exact and tested equal around the threshold.
+    Raises NegativeExponent, at every b, if the ratio is not a polynomial at
+    n. At b = 1 the residue is the value at q = 1.
     """
-    n = _check_point(spec, n)
     if b < 1:
         raise ValueError("modulus index must be >= 1")
-    if b == 1:
-        return IntPolynomial((q_ratio_at_one(spec, n),))
-    if ratio_degree(spec, n) <= degree_threshold:
-        return reduce_mod_cyclotomic(q_ratio(spec, n), b)
-    exponents = _cyclotomic_exponents(spec, n)
-    for c, ex in exponents:
-        if c == b and ex >= 1:
-            return IntPolynomial(())
+    return exponent_residue(cyclotomic_exponents(spec, n), b)
+
+
+def exponent_residue(exponents: Mapping[int, int], b: int) -> IntPolynomial:
+    """Residue modulo cyclotomic(b) of prod_c cyclotomic(c)^exponents[c], all c >= 2."""
+    if b in exponents:
+        return ZERO
     acc = ONE
-    for c, ex in exponents:
-        acc = reduce_mod_cyclotomic(acc * _residue_power(c, ex, b), b)
+    for c, ex in exponents.items():
+        power = _residue_power(c, ex, b)
+        if power != ONE:
+            acc = reduce_mod_cyclotomic(acc * power, b)
     return acc
-
-
-def _cyclotomic_residue(c: int, b: int) -> IntPolynomial:
-    return reduce_mod_cyclotomic(cyclotomic(c), b)
 
 
 _residue_power_cache: dict[tuple[int, int, int], IntPolynomial] = {}
@@ -312,7 +311,7 @@ def _residue_power(c: int, ex: int, b: int) -> IntPolynomial:
     hit = _residue_power_cache.get(key)
     if hit is not None:
         return hit
-    base = _cyclotomic_residue(c, b)
+    base = reduce_mod_cyclotomic(cyclotomic(c), b)
     acc = ONE
     e = ex
     while e:

@@ -78,6 +78,19 @@ class TestComputationCommands:
         assert code == 1
         assert envelope["report"]["integral"] is False
 
+    def test_qratio_mod_nonintegral_exits_one(self, capsys, tmp_path):
+        # Same verdict as the plain path, at b = 1 as well, where the value
+        # at q = 1 of a non-polynomial ratio may still be an integer (3 here).
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text('{"dim": 1, "e": [[2]], "f": [[1], [1], [1]]}')
+        for spec, point in (("inverse-central", "1"), (str(spec_file), "2")):
+            for b in ("1", "2", "5"):
+                code, envelope = run_json(
+                    capsys, ["qratio", "--spec", spec, "--point", point, "--mod", b]
+                )
+                assert code == 1, (spec, b)
+                assert envelope["report"]["integral"] is False
+
     def test_build_series(self, capsys):
         code, envelope = run_json(
             capsys, ["build-series", "--spec", "central", "--cap", "3"]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qlucas import catalog
+from qlucas import catalog, congruence
 from qlucas.congruence import (
     CongruenceFailure,
     HypothesisViolated,
@@ -16,7 +16,7 @@ from qlucas.congruence import (
     verify_ratio_congruence,
 )
 from qlucas.intpoly import IntPolynomial, cyclotomic
-from qlucas.qcombinatorics import RatioSpec, q_binomial
+from qlucas.qcombinatorics import RatioSpec, iter_box, q_binomial, q_ratio, q_ratio_mod
 
 P = IntPolynomial
 
@@ -77,6 +77,70 @@ class TestVerifyRatioCongruence:
             verify_ratio_congruence(CENTRAL, 4, (2, 2))
         with pytest.raises(ValueError):
             verify_ratio_congruence(CENTRAL, 0, (2,))
+
+
+class TestPointMemo:
+    def test_matches_polynomial_routes(self):
+        memo = congruence._PointMemo(APERY)
+        for _ in range(2):  # the second round reads the memo
+            for n in iter_box((4, 4)):
+                assert memo.ratio_at_one(n) == q_ratio(APERY, n).eval_at_one(), n
+                for b in (1, 2, 3, 6):
+                    assert memo.residue(n, b) == q_ratio_mod(APERY, n, b), (n, b)
+        assert len(memo.at_one) == len(memo.exponents) == 25
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the worker pool by an in-process one; return its max_workers values."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(congruence, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+class TestWorkerPool:
+    def test_parallel_apery_matches_serial(self):
+        serial = verify_ratio_congruence(APERY, 5, (2, 2), jobs=1)
+        parallel = verify_ratio_congruence(APERY, 5, (2, 2), jobs=2)
+        assert serial.to_json_dict() == parallel.to_json_dict()
+
+    def test_pool_clamped_to_tasks_and_cpus(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(congruence.os, "cpu_count", lambda: 4)
+        verify_ratio_congruence(CENTRAL, 3, (2,), jobs=64)  # 3 moduli
+        verify_ratio_congruence(CENTRAL, 9, (2,), jobs=64)  # 4 CPUs
+        verify_ratio_congruence(CENTRAL, 9, (2,), jobs=2)
+        verify_plucas_at_one(CENTRAL, 5, (2,), jobs=64)  # primes 2, 3, 5
+        verify_plucas_at_one(CENTRAL, 2, (2,), jobs=64)  # one prime: serial
+        verify_ratio_congruence(CENTRAL, 1, (2,), jobs=64)  # one modulus: serial
+        monkeypatch.setattr(congruence.os, "cpu_count", lambda: None)
+        verify_ratio_congruence(CENTRAL, 9, (2,), jobs=64)  # unknown CPUs: serial
+        assert pool_sizes == [3, 4, 2, 3]
+
+    def test_interleaved_failures_keep_serial_order(self, monkeypatch, pool_sizes):
+        # Workers take every k-th modulus; the merged failures must still be
+        # ordered as the serial sweep orders them.
+        def sweep(spec, moduli, n_box):
+            return len(moduli), [CongruenceFailure(b, None, n_box, P((b,)), P(())) for b in moduli]
+
+        monkeypatch.setattr(congruence.os, "cpu_count", lambda: 3)
+        checked, failures = congruence._run_sweep(sweep, CENTRAL, list(range(1, 8)), (0,), 3)
+        assert pool_sizes == [3]
+        assert checked == 7
+        assert [f.b for f in failures] == list(range(1, 8))
 
 
 class TestVerifyPlucasAtOne:

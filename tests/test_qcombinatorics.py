@@ -11,8 +11,8 @@ from qlucas.intpoly import IntPolynomial, NotDivisible, cyclotomic, divide_exact
 from qlucas.qcombinatorics import (
     NegativeExponent,
     RatioSpec,
-    _cyclotomic_exponents,
-    _delta_floor,
+    cyclotomic_exponents,
+    exponent_residue,
     q_binomial,
     q_factorial,
     q_integer,
@@ -164,10 +164,7 @@ class TestCyclotomicRoute:
     def test_central_n2_exponents(self):
         # floor(2/2) - 2*floor(1/2) = 1 - 0... careful: vectors are (2) and (1,1):
         # b=2: floor(4/2) - 2*floor(2/2) = 2 - 2 = 0; b=3 and b=4 give 1.
-        assert _delta_floor(CENTRAL, (2,), 2) == 0
-        assert _delta_floor(CENTRAL, (2,), 3) == 1
-        assert _delta_floor(CENTRAL, (2,), 4) == 1
-        assert _cyclotomic_exponents(CENTRAL, (2,)) == [(3, 1), (4, 1)]
+        assert cyclotomic_exponents(CENTRAL, (2,)) == {3: 1, 4: 1}
         prod = cyclotomic(3) * cyclotomic(4)
         assert prod == q_binomial(4, 2)
         assert q_ratio_cyclotomic(CENTRAL, (2,)) == q_binomial(4, 2)
@@ -204,36 +201,95 @@ class TestRatioDegree:
 
 class TestQRatioMod:
     def test_matches_reduction_below_threshold(self):
+        # deg = n^2 for CENTRAL: 1..25, below the old residue-route cutoff of 64.
         for b in range(1, 9):
-            for n in (1, 5, 12):
-                assert q_ratio_mod(CENTRAL, (n,), b) == reduce_mod_cyclotomic(q_ratio(CENTRAL, (n,)), b)
+            for n in (1, 4, 5):
+                direct = q_ratio(CENTRAL, (n,))
+                product = q_ratio_cyclotomic(CENTRAL, (n,))
+                fast = q_ratio_mod(CENTRAL, (n,), b)
+                assert fast == reduce_mod_cyclotomic(direct, b), (n, b)
+                assert fast == reduce_mod_cyclotomic(product, b), (n, b)
 
     def test_residue_path_agrees(self):
-        # Force the residue-product path with threshold 0 and compare.
         for b in (2, 3, 5, 7, 12):
             for n in (4, 9, 16):
-                fast = q_ratio_mod(CENTRAL, (n,), b, degree_threshold=0)
-                slow = reduce_mod_cyclotomic(q_ratio(CENTRAL, (n,)), b)
-                assert fast == slow, (b, n)
-            for pt in [(2, 1), (3, 3), (5, 2)]:
-                fast = q_ratio_mod(APERY, pt, b, degree_threshold=0)
-                slow = reduce_mod_cyclotomic(q_ratio(APERY, pt), b)
-                assert fast == slow, (b, pt)
+                fast = q_ratio_mod(CENTRAL, (n,), b)
+                assert fast == reduce_mod_cyclotomic(q_ratio(CENTRAL, (n,)), b), (b, n)
+                assert fast == reduce_mod_cyclotomic(q_ratio_cyclotomic(CENTRAL, (n,)), b), (b, n)
+            for pt in [(1, 1), (2, 1), (3, 3), (5, 2), (6, 6)]:
+                fast = q_ratio_mod(APERY, pt, b)
+                assert fast == reduce_mod_cyclotomic(q_ratio(APERY, pt), b), (b, pt)
 
     def test_default_dispatch_straddles_threshold(self):
-        # deg = n^2: 25 stays on the direct path, 100 takes the residue path.
-        for n in (5, 10, 40):
-            for b in (2, 7, 12):
-                assert q_ratio_mod(CENTRAL, (n,), b) == reduce_mod_cyclotomic(
-                    q_ratio(CENTRAL, (n,)), b
-                ), (n, b)
+        # One route serves degrees on both sides of the old cutoff of 64:
+        # deg = n^2 is 25, 64 below or at it, 81..1600 above it.
+        for n in (5, 8, 9, 10, 12, 40):
+            direct = q_ratio(CENTRAL, (n,))
+            product = q_ratio_cyclotomic(CENTRAL, (n,))
+            for b in (1, 2, 6, 7, 8, 12):
+                fast = q_ratio_mod(CENTRAL, (n,), b)
+                assert fast == reduce_mod_cyclotomic(direct, b), (n, b)
+                assert fast == reduce_mod_cyclotomic(product, b), (n, b)
+
+    def test_exponent_residue(self):
+        exponents = cyclotomic_exponents(CENTRAL, (6,))
+        for b in range(1, 14):
+            expected = reduce_mod_cyclotomic(q_binomial(12, 6), b)
+            assert exponent_residue(exponents, b) == expected, b
+        assert exponent_residue({}, 5) == P((1,))
+        assert exponent_residue({5: 2}, 5) == P(())
 
     def test_b_one_is_integer_value(self):
         assert q_ratio_mod(CENTRAL, (6,), 1) == P((924,))
 
+    def test_non_polynomial_raises_at_every_modulus(self):
+        # At n = 2 the ratio is [4]_q! / [2]_q!^3 = [3]_q (1 + q^2) / [2]_q:
+        # the integer 3 at q = 1, but not a polynomial.
+        spec = RatioSpec(1, ((2,),), ((1,), (1,), (1,)))
+        assert q_ratio_at_one(spec, (2,)) == 3
+        with pytest.raises(NotDivisible):
+            q_ratio(spec, (2,))
+        for b in range(1, 6):
+            with pytest.raises(NegativeExponent):
+                q_ratio_mod(spec, (2,), b)
+            with pytest.raises(NegativeExponent):
+                q_ratio_mod(INVERSE, (1,), b)
+
     def test_bad_modulus(self):
         with pytest.raises(ValueError):
             q_ratio_mod(CENTRAL, (2,), 0)
+
+
+@st.composite
+def balanced_specs(draw):
+    """Random balanced specs of dimension 1-2: nonzero vectors with entries at
+    most 2, the column gaps filled by unit vectors."""
+    dim = draw(st.integers(1, 2))
+    vec = st.tuples(*[st.integers(0, 2)] * dim).filter(any)
+    e = draw(st.lists(vec, min_size=1, max_size=3))
+    f = draw(st.lists(vec, min_size=0, max_size=3))
+    for j in range(dim):
+        gap = sum(v[j] for v in e) - sum(v[j] for v in f)
+        unit = tuple(int(i == j) for i in range(dim))
+        (f if gap > 0 else e).extend([unit] * abs(gap))
+    return RatioSpec(dim, tuple(e), tuple(f))
+
+
+class TestRouteProperties:
+    @given(balanced_specs(), st.lists(st.integers(0, 6), min_size=2, max_size=2), st.integers(1, 12))
+    def test_three_routes_agree_or_all_raise(self, spec, coords, b):
+        n = tuple(coords[: spec.dim])
+        try:
+            direct = q_ratio(spec, n)
+        except NotDivisible:
+            with pytest.raises(NegativeExponent):
+                q_ratio_cyclotomic(spec, n)
+            with pytest.raises(NegativeExponent):
+                q_ratio_mod(spec, n, b)
+            return
+        residue = q_ratio_mod(spec, n, b)
+        assert residue == reduce_mod_cyclotomic(direct, b)
+        assert residue == reduce_mod_cyclotomic(q_ratio_cyclotomic(spec, n), b)
 
 
 class TestQRatioBox:
