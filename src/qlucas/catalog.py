@@ -37,6 +37,18 @@ def apery_spec() -> RatioSpec:
     return RatioSpec(2, ((2, 1), (1, 1)), ((1, 0), (1, 0), (1, 0), (0, 1), (0, 1)))
 
 
+def apery_family_spec(family: str) -> RatioSpec:
+    """The summand ratio at (k, n - k) of the Apery-type sum of kind 'a' or 'b'.
+
+    Kind 'a' is apery_spec; kind 'b' is (2n1+n2)!^2 / (n1!^4 n2!^2).
+    """
+    if family == "a":
+        return apery_spec()
+    if family == "b":
+        return RatioSpec(2, ((2, 1), (2, 1)), ((1, 0),) * 4 + ((0, 1),) * 2)
+    raise ValueError("family must be 'a' or 'b'")
+
+
 def binomial_spec(r: int = 1) -> RatioSpec:
     """(n1+n2)!^r / (n1!^r n2!^r) over two variables."""
     if r < 1:

@@ -30,7 +30,7 @@ from .congruence import (
     verify_ratio_congruence,
 )
 from .intpoly import IntPolynomial, NotDivisible, cyclotomic, reduce_mod_cyclotomic
-from .landau import DEFAULT_BUDGET, check_landau
+from .landau import DEFAULT_BUDGET, DimensionTooLarge, check_landau
 from .qcombinatorics import NegativeExponent, RatioSpec, q_binomial, q_ratio, q_ratio_at_one, q_ratio_mod
 from .relations import DEFAULT_MARGIN, find_relations, verify_relation
 from .series import TruncatedSeries, build_F, extract_cofactor, specialize, verify_definition_Ld
@@ -425,7 +425,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         params, report, ok = args.handler(args)
-    except (ValueError, ArithmeticError, OSError, KeyError) as exc:
+    except (ValueError, ArithmeticError, OSError, KeyError, DimensionTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     envelope = {

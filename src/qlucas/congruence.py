@@ -23,14 +23,14 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from . import catalog
-from .intpoly import IntPolynomial, reduce_mod_cyclotomic
+from .intpoly import ONE, IntPolynomial, reduce_mod_cyclotomic
 from .landau import check_landau
 from .qcombinatorics import (
     RatioSpec,
+    _ratio_step,
     cyclotomic_exponents,
     exponent_residue,
     iter_box,
-    q_binomial,
     q_ratio_at_one,
     q_ratio_mod,
 )
@@ -141,6 +141,8 @@ def _run_sweep(sweep: Callable, spec: RatioSpec, moduli: list[int], n_box: tuple
     takes moduli[k::workers], which spreads the costly large moduli; a stable
     sort by modulus restores the serial order of the failures.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     workers = min(jobs, len(moduli), os.cpu_count() or 1)
     if workers > 1:
         chunks = [moduli[k::workers] for k in range(workers)]
@@ -294,31 +296,51 @@ def verify_inter2_identity(spec: RatioSpec, b: int, n_box: Sequence[int]) -> Con
 
 @lru_cache(maxsize=None)
 def apery_polynomial(family: str, t: int, n: int) -> IntPolynomial:
-    """The degree-weighted Gaussian binomial sum of kind 'a' or 'b' at n.
+    """The degree-weighted Apery-type sum of kind 'a' or 'b' at n.
 
-    Kind 'a' sums q^(t k) qbinom(n, k)^2 qbinom(n+k, k); kind 'b' squares the
-    last factor as well. At q = 1 these collapse to the classical integer
-    sequences (catalog.apery_number_sequence is the independent route).
+    Sums q^(t k) times the family's ratio (catalog.apery_family_spec) at
+    (k, n - k), stepping along the antidiagonal from (0, n), where it is 1.
+    That is sum_k q^(t k) qbinom(n, k)^2 qbinom(n+k, k)^r with r = 1 for 'a'
+    and r = 2 for 'b', which the tests check. At q = 1 these collapse to the
+    classical integer sequences (catalog.apery_number_sequence).
     """
-    if family not in ("a", "b"):
-        raise ValueError("family must be 'a' or 'b'")
+    spec = catalog.apery_family_spec(family)
     if t < 0 or n < 0:
         raise ValueError("t and n must be nonnegative")
-    total = IntPolynomial(())
-    for k in range(n + 1):
-        term = q_binomial(n, k) ** 2
-        mixed = q_binomial(n + k, k)
-        term = term * (mixed if family == "a" else mixed * mixed)
-        total = total + term.shift(t * k)
+    value = total = ONE
+    for k in range(1, n + 1):
+        value = _ratio_step(spec, value, (k - 1, n - k + 1), (k, n - k))
+        total = total + value.shift(t * k)
     return total
+
+
+def check_cofactor(
+    coeffs: Sequence[IntPolynomial], g1: Sequence[int], b: int, report: CongruenceReport
+) -> list[IntPolynomial]:
+    """Check coeffs[m + n b] == B_m * g1[n] modulo cyclotomic(b) over the list.
+
+    B_m is coeffs[m] modulo cyclotomic(b) for m < b; the B_m are returned.
+    Every index is one check counted in the report, and failures are
+    appended in index order. g1 must cover len(coeffs) // b and start at 1.
+    """
+    residues = [reduce_mod_cyclotomic(c, b) for c in coeffs[:b]]
+    for total, coeff in enumerate(coeffs):
+        m, n = total % b, total // b
+        report.checked += 1
+        lhs = reduce_mod_cyclotomic(coeff, b)
+        rhs = reduce_mod_cyclotomic(residues[m] * g1[n], b)
+        if lhs != rhs:
+            report.failures.append(CongruenceFailure(b, (m,), (n,), lhs, rhs))
+    return residues
 
 
 def verify_apery(family: str, t: int, b_max: int, total_max: int) -> CongruenceReport:
     """Sweep a_{m+nb} == a_m * a_n(1) modulo cyclotomic(b) for one family.
 
     Covers every b = 1..b_max, m = 0..b-1, and n >= 0 with m + n b <=
-    total_max. The right side uses the integer-only sequence values, so the
-    check crosses two independent routes to the same numbers.
+    total_max, in order of m + n b within each b. The right side uses the
+    integer-only sequence values, so the check crosses two independent
+    routes to the same numbers.
     """
     if b_max < 1 or total_max < 0:
         raise ValueError("b_max must be >= 1 and total_max >= 0")
@@ -327,14 +349,7 @@ def verify_apery(family: str, t: int, b_max: int, total_max: int) -> CongruenceR
         subject=f"apery-{family}",
         ranges={"t": t, "b_max": b_max, "total_max": total_max},
     )
+    coeffs = [apery_polynomial(family, t, n) for n in range(total_max + 1)]
     for b in range(1, b_max + 1):
-        for m in range(b):
-            n = 0
-            while m + n * b <= total_max:
-                report.checked += 1
-                lhs = reduce_mod_cyclotomic(apery_polynomial(family, t, m + n * b), b)
-                rhs = reduce_mod_cyclotomic(apery_polynomial(family, t, m) * at_one[n], b)
-                if lhs != rhs:
-                    report.failures.append(CongruenceFailure(b, (m,), (n,), lhs, rhs))
-                n += 1
+        check_cofactor(coeffs, at_one, b, report)
     return report

@@ -73,10 +73,6 @@ class IntPolynomial:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    @property
-    def leading_coefficient(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
@@ -210,7 +206,6 @@ class IntPolynomial:
 
 ZERO = IntPolynomial(())
 ONE = IntPolynomial((1,))
-Q = IntPolynomial((0, 1))
 
 
 def monomial(k: int, c: int = 1) -> IntPolynomial:

@@ -18,17 +18,22 @@ builds the full polynomial.
 
 Internally every q-factorial is a multiset of binomial factors (1 - q^k)
 together with a power of (1 - q): [m]_q! = prod_{k<=m} (1 - q^k) * (1-q)^(-m).
-Multiplying numerator factors first and then dividing denominator factors one
-by one (largest k first) gives the same polynomial and the same fail-fast
-divisibility semantics as whole-factorial division: if the final ratio is a
-polynomial then so is every partial quotient, since it equals the final
-polynomial times the remaining denominator factors.
+One primitive, _ratio_step, moves a ratio value between two lattice points:
+it nets the factors whose counts change between them, multiplies the gained
+ones in ascending k and then divides the lost ones largest k first. q_ratio
+is the step from the origin, q_ratio_box steps each point from its
+predecessor, and the Apery-type sums step along an antidiagonal. Dividing
+last gives the same polynomial and the same fail-fast divisibility semantics
+as whole-factorial division: if the final ratio is a polynomial then so is
+every partial quotient, since it equals the final polynomial times the
+remaining denominator factors.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -122,7 +127,7 @@ class RatioSpec:
 
 
 def dot(vec: Sequence[int], n: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(vec, n))
+    return sum(map(operator.mul, vec, n))
 
 
 def _check_point(spec: RatioSpec, n: Sequence[int]) -> Vector:
@@ -170,37 +175,41 @@ def q_binomial(n: int, k: int) -> IntPolynomial:
 # -- ratio evaluation ----------------------------------------------------------
 
 
-def _factor_counts(spec: RatioSpec, n: Vector) -> dict[int, int]:
-    # Net multiplicity of (1 - q^k) across both factorial products.
-    dots_e = [dot(t, n) for t in spec.e]
-    dots_f = [dot(t, n) for t in spec.f]
-    top = max(dots_e + dots_f, default=0)
-    diff = [0] * (top + 2)
-    for d in dots_e:
-        if d:
-            diff[1] += 1
-            diff[d + 1] -= 1
-    for d in dots_f:
-        if d:
-            diff[1] -= 1
-            diff[d + 1] += 1
+def _ratio_step(spec: RatioSpec, value: IntPolynomial, src: Vector, dst: Vector) -> IntPolynomial:
+    """value * Q(dst) / Q(src), multiplying and dividing only the factors that change.
+
+    Between the points, [m]_q! of a vector whose dot product moves from a to
+    c gains (1 - q^k) for a < k <= c, or loses it for c < k <= a, and the
+    (1 - q)^(-m) powers net into k = 1. Multiplies in ascending k, then
+    divides largest k first; raises NotDivisible if the result is not a
+    polynomial.
+    """
     counts: dict[int, int] = {}
-    run = 0
-    for k in range(1, top + 1):
-        run += diff[k]
-        if run:
-            counts[k] = run
-    # Each [m]_q! carries (1 - q)^(-m); fold the net power into k = 1.
-    ones = sum(dots_f) - sum(dots_e)
+    ones = 0
+    for sign, vecs in ((1, spec.e), (-1, spec.f)):
+        for t in vecs:
+            a, c = dot(t, src), dot(t, dst)
+            if c > a:
+                for k in range(a + 1, c + 1):
+                    counts[k] = counts.get(k, 0) + sign
+            elif c < a:
+                for k in range(c + 1, a + 1):
+                    counts[k] = counts.get(k, 0) - sign
+            ones += sign * (a - c)
     if ones:
         counts[1] = counts.get(1, 0) + ones
-        if counts[1] == 0:
-            del counts[1]
-    return counts
+    factors = sorted(counts.items())
+    for k, c in factors:
+        for _ in range(c):
+            value = mul_one_minus_qk(value, k)
+    for k, c in reversed(factors):
+        for _ in range(-c):
+            value = div_one_minus_qk_exact(value, k)
+    return value
 
 
 def q_ratio(spec: RatioSpec, n: Sequence[int]) -> IntPolynomial:
-    """The factorial ratio at n as an exact polynomial.
+    """The factorial ratio at n as an exact polynomial: the step from the origin.
 
     Raises NotDivisible (with the offending remainder) if the ratio is not a
     polynomial at n. Numerator factors are multiplied first; denominator
@@ -208,15 +217,7 @@ def q_ratio(spec: RatioSpec, n: Sequence[int]) -> IntPolynomial:
     surface at the first non-integral quotient.
     """
     n = _check_point(spec, n)
-    counts = _factor_counts(spec, n)
-    out = ONE
-    for k in sorted(k for k, c in counts.items() if c > 0):
-        for _ in range(counts[k]):
-            out = mul_one_minus_qk(out, k)
-    for k in sorted((k for k, c in counts.items() if c < 0), reverse=True):
-        for _ in range(-counts[k]):
-            out = div_one_minus_qk_exact(out, k)
-    return out
+    return _ratio_step(spec, ONE, (0,) * spec.dim, n)
 
 
 def q_ratio_at_one(spec: RatioSpec, n: Sequence[int]) -> int:
@@ -335,9 +336,10 @@ def iter_box(cap: Sequence[int]) -> Iterator[Vector]:
 def q_ratio_box(spec: RatioSpec, cap: Sequence[int]) -> dict[Vector, IntPolynomial]:
     """Exact ratio values on the whole box 0..cap.
 
-    Walks the box incrementally: each value is obtained from its predecessor
-    along the last nonzero axis by multiplying and dividing only the binomial
-    factors that change, which keeps the total cost near the output size.
+    Walks the box incrementally: each value is one ratio step from its
+    predecessor along the last nonzero axis, which multiplies and divides
+    only the binomial factors that change and keeps the total cost near the
+    output size.
     Raises NotDivisible at the first point where the ratio fails to be a
     polynomial.
     """
@@ -351,30 +353,5 @@ def q_ratio_box(spec: RatioSpec, cap: Sequence[int]) -> dict[Vector, IntPolynomi
             continue
         j = max(i for i, c in enumerate(n) if c)
         pred = n[:j] + (n[j] - 1,) + n[j + 1 :]
-        value = out[pred]
-        counts: dict[int, int] = {}
-        ones = 0
-        for t in spec.e:
-            step = t[j]
-            if step:
-                base = dot(t, pred)
-                for k in range(base + 1, base + step + 1):
-                    counts[k] = counts.get(k, 0) + 1
-                ones -= step
-        for t in spec.f:
-            step = t[j]
-            if step:
-                base = dot(t, pred)
-                for k in range(base + 1, base + step + 1):
-                    counts[k] = counts.get(k, 0) - 1
-                ones += step
-        if ones:
-            counts[1] = counts.get(1, 0) + ones
-        for k in sorted(k for k, c in counts.items() if c > 0):
-            for _ in range(counts[k]):
-                value = mul_one_minus_qk(value, k)
-        for k in sorted((k for k, c in counts.items() if c < 0), reverse=True):
-            for _ in range(-counts[k]):
-                value = div_one_minus_qk_exact(value, k)
-        out[n] = value
+        out[n] = _ratio_step(spec, out[pred], pred, n)
     return out

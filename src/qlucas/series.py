@@ -23,8 +23,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
-from .congruence import CongruenceFailure, CongruenceReport, HypothesisViolated
-from .intpoly import IntPolynomial, reduce_mod_cyclotomic
+from .congruence import CongruenceFailure, CongruenceReport, HypothesisViolated, check_cofactor
+from .intpoly import IntPolynomial
 from .landau import check_landau
 from .qcombinatorics import RatioSpec, dot, iter_box, q_ratio_box
 
@@ -209,15 +209,8 @@ def extract_cofactor(
         raise InsufficientTruncation(
             f"sequence has {len(g1)} terms, needs {order // b + 1}"
         )
-    residues = [reduce_mod_cyclotomic(fq.coeff((i,)), b) for i in range(min(b, order + 1))]
     report = CongruenceReport(subject="cofactor", ranges={"b": b, "order": order})
-    for total in range(order + 1):
-        m, n = total % b, total // b
-        report.checked += 1
-        lhs = reduce_mod_cyclotomic(fq.coeff((total,)), b)
-        rhs = reduce_mod_cyclotomic(residues[m] * g1[n], b)
-        if lhs != rhs:
-            report.failures.append(CongruenceFailure(b, (m,), (n,), lhs, rhs))
+    residues = check_cofactor([fq.coeff((i,)) for i in range(order + 1)], g1, b, report)
     return residues, report
 
 

@@ -215,6 +215,26 @@ class TestExitCodes:
         code, _, _ = run(capsys, ["build-series", "--spec", "inverse-central", "--cap", "4"])
         assert code == 2
 
+    def test_landau_budget_exceeded(self, capsys):
+        code, out, err = run(capsys, ["check-landau", "--spec", "apery", "--budget", "1"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "budget" in err
+
+    @pytest.mark.parametrize("command", [
+        ["verify-congruence", "--spec", "central", "--b-max", "3", "--n-box", "2"],
+        ["verify-plucas", "--spec", "central", "--p-max", "3", "--n-box", "2"],
+    ])
+    def test_jobs_below_one(self, capsys, monkeypatch, command):
+        for jobs in ("0", "-2"):
+            code, out, err = run(capsys, command + ["--jobs", jobs])
+            assert (code, out) == (2, "")
+            assert "jobs" in err
+        monkeypatch.setenv("QLUCAS_JOBS", "0")
+        code, out, err = run(capsys, command)
+        assert (code, out) == (2, "")
+        assert "jobs" in err
+
     def test_order_too_small(self, capsys):
         code, _, _ = run(
             capsys,

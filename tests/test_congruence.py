@@ -15,7 +15,7 @@ from qlucas.congruence import (
     verify_plucas_at_one,
     verify_ratio_congruence,
 )
-from qlucas.intpoly import IntPolynomial, cyclotomic
+from qlucas.intpoly import IntPolynomial, cyclotomic, reduce_mod_cyclotomic
 from qlucas.qcombinatorics import RatioSpec, iter_box, q_binomial, q_ratio, q_ratio_mod
 
 P = IntPolynomial
@@ -130,6 +130,14 @@ class TestWorkerPool:
         verify_ratio_congruence(CENTRAL, 9, (2,), jobs=64)  # unknown CPUs: serial
         assert pool_sizes == [3, 4, 2, 3]
 
+    def test_rejects_fewer_than_one_job(self, pool_sizes):
+        for jobs in (0, -1):
+            with pytest.raises(ValueError, match="jobs"):
+                verify_ratio_congruence(CENTRAL, 3, (2,), jobs=jobs)
+            with pytest.raises(ValueError, match="jobs"):
+                verify_plucas_at_one(CENTRAL, 5, (2,), jobs=jobs)
+        assert pool_sizes == []
+
     def test_interleaved_failures_keep_serial_order(self, monkeypatch, pool_sizes):
         # Workers take every k-th modulus; the merged failures must still be
         # ordered as the serial sweep orders them.
@@ -188,7 +196,24 @@ class TestVerifyInter2:
             verify_inter2_identity(INVERSE, 3, (2,))
 
 
+def gaussian_apery(family, t, n):
+    """Independent oracle: sum_k q^(t k) qbinom(n, k)^2 qbinom(n+k, k)^r,
+    r = 1 for kind 'a' and 2 for kind 'b'."""
+    total = P(())
+    for k in range(n + 1):
+        mixed = q_binomial(n + k, k)
+        term = q_binomial(n, k) ** 2 * (mixed if family == "a" else mixed * mixed)
+        total = total + term.shift(t * k)
+    return total
+
+
 class TestApery:
+    def test_matches_gaussian_binomial_sum(self):
+        for family in ("a", "b"):
+            for t in range(4):
+                for n in range(17):
+                    assert apery_polynomial(family, t, n) == gaussian_apery(family, t, n), (family, t, n)
+
     def test_polynomial_frozen(self):
         assert apery_polynomial("a", 0, 0) == P((1,))
         assert apery_polynomial("b", 2, 0) == P((1,))
@@ -212,11 +237,23 @@ class TestApery:
         assert verify_apery("b", 0, 4, 10).ok
         assert verify_apery("a", 2, 3, 9).ok
 
+    def test_cofactor_check_reports_in_index_order(self):
+        seq = catalog.apery_number_sequence("b", 9)
+        coeffs = [apery_polynomial("b", 1, n) for n in range(10)]
+        coeffs[5] = coeffs[5] + 1
+        report = congruence.CongruenceReport("test", {})
+        residues = congruence.check_cofactor(coeffs, seq, 2, report)
+        assert residues == [reduce_mod_cyclotomic(c, 2) for c in coeffs[:2]]
+        assert report.checked == 10
+        assert [(f.a, f.n) for f in report.failures] == [((1,), (2,))]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             verify_apery("c", 0, 4, 8)
         with pytest.raises(ValueError):
             apery_polynomial("a", -1, 2)
+        with pytest.raises(ValueError):
+            apery_polynomial("c", 0, 2)
         with pytest.raises(ValueError):
             verify_apery("a", 0, 0, 8)
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from qlucas.intpoly import (
     NEG_INF,
     ONE,
-    Q,
     ZERO,
     IntPolynomial,
     NotDivisible,
@@ -26,6 +25,7 @@ from qlucas.intpoly import (
 )
 
 P = IntPolynomial
+Q = P((0, 1))
 
 
 def sieve_totients(limit):

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qlucas import catalog
@@ -11,6 +11,7 @@ from qlucas.intpoly import IntPolynomial, NotDivisible, cyclotomic, divide_exact
 from qlucas.qcombinatorics import (
     NegativeExponent,
     RatioSpec,
+    _ratio_step,
     cyclotomic_exponents,
     exponent_residue,
     q_binomial,
@@ -290,6 +291,21 @@ class TestRouteProperties:
         residue = q_ratio_mod(spec, n, b)
         assert residue == reduce_mod_cyclotomic(direct, b)
         assert residue == reduce_mod_cyclotomic(q_ratio_cyclotomic(spec, n), b)
+
+    @given(balanced_specs(), st.lists(st.integers(0, 6), min_size=4, max_size=4))
+    def test_ratio_step_agrees_with_cyclotomic_route(self, spec, coords):
+        src, dst = tuple(coords[: spec.dim]), tuple(coords[2 : 2 + spec.dim])
+        try:
+            start = q_ratio(spec, src)
+        except NotDivisible:
+            assume(False)
+        try:
+            expected = q_ratio_cyclotomic(spec, dst)
+        except NegativeExponent:
+            with pytest.raises(NotDivisible):
+                _ratio_step(spec, start, src, dst)
+            return
+        assert _ratio_step(spec, start, src, dst) == expected
 
 
 class TestQRatioBox:

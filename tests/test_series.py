@@ -108,6 +108,13 @@ class TestSpecialize:
             for n in range(7):
                 assert out.coeff((n,)) == apery_polynomial("a", t, n), (t, n)
 
+    def test_apery_b_diagonal_matches_sum_formula(self):
+        s = build_F(catalog.apery_family_spec("b"), (12, 12))
+        for t in range(4):
+            out = specialize(s, (t, 0), (1, 1), 12)
+            for n in range(13):
+                assert out.coeff((n,)) == apery_polynomial("b", t, n), (t, n)
+
     def test_binomial_diagonal_matches_direct_sum(self):
         spec = catalog.binomial_spec(2)
         s = build_F(spec, (5, 5))
