@@ -55,15 +55,20 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"expected a rational like 3 or 1/2, got {text!r}")
 
 
+def _is_file(source: str) -> bool:
+    """Whether a --spec or --series argument names a file, not a built-in."""
+    return source.endswith(".json") or os.path.sep in source or os.path.exists(source)
+
+
 def _load_spec(source: str) -> RatioSpec:
-    if source.endswith(".json") or os.path.sep in source or os.path.exists(source):
+    if _is_file(source):
         with open(source, encoding="utf-8") as fh:
             return RatioSpec.from_json_dict(json.load(fh))
     return catalog.builtin_spec(source)
 
 
 def _load_sequence(source: str, order: int, qval: Fraction) -> list:
-    if source.endswith(".json") or os.path.sep in source or os.path.exists(source):
+    if _is_file(source):
         with open(source, encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, list):
@@ -276,7 +281,7 @@ def _cmd_verify_apery(args):
 
 
 def _cmd_verify_ld(args):
-    if args.series.endswith(".json") or os.path.sep in args.series or os.path.exists(args.series):
+    if _is_file(args.series):
         with open(args.series, encoding="utf-8") as fh:
             raw = json.load(fh)
         series = TruncatedSeries.from_json_list(

@@ -89,7 +89,9 @@ def congruent_mod_cyclotomic(a: IntPolynomial, b: IntPolynomial, m: int) -> bool
 # -- shared helpers ----------------------------------------------------------------
 
 
-def _require_balanced_landau(spec: RatioSpec, subject: str) -> None:
+def _require_hypotheses(spec: RatioSpec, subject: str, subdomain: bool) -> None:
+    """Raise HypothesisViolated unless the spec is balanced and integral and,
+    if subdomain is set, its step function is at least 1 on the subdomain."""
     if not spec.balanced:
         raise HypothesisViolated(
             f"{subject}: spec column sums differ (e={spec.total_e}, f={spec.total_f})"
@@ -97,19 +99,32 @@ def _require_balanced_landau(spec: RatioSpec, subject: str) -> None:
     report = check_landau(spec)
     if not report.integrality:
         raise HypothesisViolated(f"{subject}: step function is negative somewhere")
-    if not report.criterion_D:
+    if subdomain and not report.criterion_D:
         raise HypothesisViolated(
             f"{subject}: step function is below 1 on the distinguished subdomain"
         )
 
 
-def _require_integrality(spec: RatioSpec, subject: str) -> None:
-    if not spec.balanced:
-        raise HypothesisViolated(
-            f"{subject}: spec column sums differ (e={spec.total_e}, f={spec.total_f})"
-        )
-    if not check_landau(spec).integrality:
-        raise HypothesisViolated(f"{subject}: step function is negative somewhere")
+def _step_box(spec: RatioSpec, n_box: Sequence[int]) -> tuple[int, ...]:
+    n_box = tuple(n_box)
+    if len(n_box) != spec.dim or any(c < 0 for c in n_box):
+        raise ValueError(f"n_box {n_box} must be nonnegative of length {spec.dim}")
+    return n_box
+
+
+def _is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    if p < 4:
+        return True
+    if p % 2 == 0:
+        return False
+    i = 3
+    while i * i <= p:
+        if p % i == 0:
+            return False
+        i += 2
+    return True
 
 
 @dataclass
@@ -154,19 +169,6 @@ def _run_sweep(sweep: Callable, spec: RatioSpec, moduli: list[int], n_box: tuple
     return sum(checked for checked, _ in parts), failures
 
 
-def _primes_up_to(limit: int) -> list[int]:
-    if limit < 2:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    out = []
-    for p in range(2, limit + 1):
-        if sieve[p]:
-            out.append(p)
-            for m in range(p * p, limit + 1, p):
-                sieve[m] = 0
-    return out
-
-
 # -- ratio congruence ----------------------------------------------------------------
 
 
@@ -202,12 +204,10 @@ def verify_ratio_congruence(
     processes, at most one per modulus and per CPU; the merged report is
     identical to the serial one.
     """
-    n_box = tuple(n_box)
-    if len(n_box) != spec.dim or any(c < 0 for c in n_box):
-        raise ValueError(f"n_box {n_box} must be nonnegative of length {spec.dim}")
+    n_box = _step_box(spec, n_box)
     if b_max < 1:
         raise ValueError("b_max must be >= 1")
-    _require_balanced_landau(spec, "ratio congruence")
+    _require_hypotheses(spec, "ratio congruence", subdomain=True)
     report = CongruenceReport(
         subject="ratio-congruence",
         ranges={"spec": spec.to_json_dict(), "b_max": b_max, "n_box": list(n_box)},
@@ -250,11 +250,9 @@ def verify_plucas_at_one(
     Runs over every prime p <= p_max. Same hypotheses and report shape as
     verify_ratio_congruence; residues are reported as constant polynomials.
     """
-    n_box = tuple(n_box)
-    if len(n_box) != spec.dim or any(c < 0 for c in n_box):
-        raise ValueError(f"n_box {n_box} must be nonnegative of length {spec.dim}")
-    _require_balanced_landau(spec, "prime congruence")
-    primes = _primes_up_to(p_max)
+    n_box = _step_box(spec, n_box)
+    _require_hypotheses(spec, "prime congruence", subdomain=True)
+    primes = [p for p in range(2, p_max + 1) if _is_prime(p)]
     report = CongruenceReport(
         subject="plucas-at-one",
         ranges={"spec": spec.to_json_dict(), "p_max": p_max, "n_box": list(n_box)},
@@ -272,12 +270,10 @@ def verify_inter2_identity(spec: RatioSpec, b: int, n_box: Sequence[int]) -> Con
     Needs only balance and integrality (the subdomain condition plays no
     role here).
     """
-    n_box = tuple(n_box)
-    if len(n_box) != spec.dim or any(c < 0 for c in n_box):
-        raise ValueError(f"n_box {n_box} must be nonnegative of length {spec.dim}")
+    n_box = _step_box(spec, n_box)
     if b < 1:
         raise ValueError("b must be >= 1")
-    _require_integrality(spec, "scaled-point identity")
+    _require_hypotheses(spec, "scaled-point identity", subdomain=False)
     report = CongruenceReport(
         subject="inter2",
         ranges={"spec": spec.to_json_dict(), "b": b, "n_box": list(n_box)},
@@ -294,7 +290,7 @@ def verify_inter2_identity(spec: RatioSpec, b: int, n_box: Sequence[int]) -> Con
 # -- Apery-type q-analogues ----------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def apery_polynomial(family: str, t: int, n: int) -> IntPolynomial:
     """The degree-weighted Apery-type sum of kind 'a' or 'b' at n.
 
@@ -302,7 +298,8 @@ def apery_polynomial(family: str, t: int, n: int) -> IntPolynomial:
     (k, n - k), stepping along the antidiagonal from (0, n), where it is 1.
     That is sum_k q^(t k) qbinom(n, k)^2 qbinom(n+k, k)^r with r = 1 for 'a'
     and r = 2 for 'b', which the tests check. At q = 1 these collapse to the
-    classical integer sequences (catalog.apery_number_sequence).
+    classical integer sequences (catalog.apery_number_sequence). The memo
+    keeps the 512 most recently used sums.
     """
     spec = catalog.apery_family_spec(family)
     if t < 0 or n < 0:

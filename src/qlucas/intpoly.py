@@ -3,10 +3,9 @@
 Polynomials are dense ascending coefficient tuples in canonical form: no
 trailing zeros, the zero polynomial is the empty tuple. Every operation is
 exact over the integers; division raises instead of truncating or drifting
-into floats. Multiplication switches to Kronecker substitution (coefficient
-packing into one big integer per operand) above a size cutoff; the packing
-uses a byte-aligned digit wide enough that balanced-digit unpacking is
-injective, so results are identical to schoolbook multiplication.
+into floats. Multiplication is one schoolbook kernel: the products on the
+sweep and series paths are small, mostly residues modulo a cyclotomic
+polynomial, and at those sizes it beats packing into big integers.
 """
 
 from __future__ import annotations
@@ -20,9 +19,6 @@ Scalar = Union[int, Fraction]
 
 #: Degree of the zero polynomial. A sentinel, never an ordinary integer.
 NEG_INF = float("-inf")
-
-# Coefficient-pair count above which multiplication packs into big integers.
-_KRONECKER_CUTOFF = 4096
 
 
 class NotDivisible(ArithmeticError):
@@ -126,12 +122,8 @@ class IntPolynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return ZERO
-        if len(a) * len(b) <= _KRONECKER_CUTOFF:
-            out = _mul_schoolbook(a, b)
-        else:
-            out = _mul_kronecker(a, b)
         # Product of nonzero integer polynomials keeps a nonzero lead.
-        return IntPolynomial._raw(tuple(out))
+        return IntPolynomial._raw(tuple(_mul_schoolbook(a, b)))
 
     __rmul__ = __mul__
 
@@ -217,7 +209,7 @@ def monomial(k: int, c: int = 1) -> IntPolynomial:
     return IntPolynomial._raw((0,) * k + (c,))
 
 
-# -- multiplication kernels --------------------------------------------------
+# -- multiplication kernel --------------------------------------------------
 
 
 def _mul_schoolbook(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
@@ -226,50 +218,6 @@ def _mul_schoolbook(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-    return out
-
-
-def _mul_kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    # Digit width covers |sum of min(la,lb) products| strictly below 2^(w-2),
-    # so balanced digits of the packed product are exactly the coefficients.
-    la, lb = len(a), len(b)
-    ma = max(map(abs, a))
-    mb = max(map(abs, b))
-    bits = ma.bit_length() + mb.bit_length() + min(la, lb).bit_length() + 2
-    wb = (bits + 7) // 8
-    prod = _pack(a, wb) * _pack(b, wb)
-    return _unpack(prod, wb, la + lb - 1)
-
-
-def _pack(coeffs: tuple[int, ...], wb: int) -> int:
-    pos = bytearray(len(coeffs) * wb)
-    neg = bytearray(len(coeffs) * wb)
-    for i, c in enumerate(coeffs):
-        if c > 0:
-            pos[i * wb : i * wb + wb] = c.to_bytes(wb, "little")
-        elif c < 0:
-            neg[i * wb : i * wb + wb] = (-c).to_bytes(wb, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
-def _unpack(v: int, wb: int, n: int) -> list[int]:
-    negate = v < 0
-    if negate:
-        v = -v
-    raw = v.to_bytes(n * wb, "little")
-    half = 1 << (8 * wb - 1)
-    full = half << 1
-    out = [0] * n
-    carry = 0
-    for k in range(n):
-        d = int.from_bytes(raw[k * wb : (k + 1) * wb], "little") + carry
-        if d >= half:
-            d -= full
-            carry = 1
-        else:
-            carry = 0
-        out[k] = -d if negate else d
-    assert carry == 0
     return out
 
 

@@ -304,7 +304,10 @@ def exponent_residue(exponents: Mapping[int, int], b: int) -> IntPolynomial:
     return acc
 
 
+# Memo of _residue_power, shared by all sweeps of a process; a miss empties it once it
+# holds _RESIDUE_POWER_CACHE_MAX entries, far above one sweep's few thousand.
 _residue_power_cache: dict[tuple[int, int, int], IntPolynomial] = {}
+_RESIDUE_POWER_CACHE_MAX = 2**16
 
 
 def _residue_power(c: int, ex: int, b: int) -> IntPolynomial:
@@ -321,6 +324,8 @@ def _residue_power(c: int, ex: int, b: int) -> IntPolynomial:
         e >>= 1
         if e:
             base = reduce_mod_cyclotomic(base * base, b)
+    if len(_residue_power_cache) >= _RESIDUE_POWER_CACHE_MAX:
+        _residue_power_cache.clear()
     _residue_power_cache[key] = acc
     return acc
 

@@ -23,7 +23,13 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
-from .congruence import CongruenceFailure, CongruenceReport, HypothesisViolated, check_cofactor
+from .congruence import (
+    CongruenceFailure,
+    CongruenceReport,
+    HypothesisViolated,
+    _is_prime,
+    check_cofactor,
+)
 from .intpoly import IntPolynomial
 from .landau import check_landau
 from .qcombinatorics import RatioSpec, dot, iter_box, q_ratio_box
@@ -215,21 +221,6 @@ def extract_cofactor(
 
 
 # -- functional equation membership -----------------------------------------------------
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    i = 3
-    while i * i <= p:
-        if p % i == 0:
-            return False
-        i += 2
-    return True
 
 
 def verify_definition_Ld(

@@ -1,7 +1,7 @@
 """congruence tests: known-true sweeps, gate enforcement, dual-route values."""
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qlucas import catalog, congruence
@@ -16,7 +16,9 @@ from qlucas.congruence import (
     verify_ratio_congruence,
 )
 from qlucas.intpoly import IntPolynomial, cyclotomic, reduce_mod_cyclotomic
+from qlucas.landau import check_landau
 from qlucas.qcombinatorics import RatioSpec, iter_box, q_binomial, q_ratio, q_ratio_mod
+from strategies import balanced_specs
 
 P = IntPolynomial
 
@@ -247,6 +249,17 @@ class TestApery:
         assert report.checked == 10
         assert [(f.a, f.n) for f in report.failures] == [((1,), (2,))]
 
+    def test_memo_bound_holds_and_eviction_keeps_results(self):
+        apery_polynomial.cache_clear()
+        keys = [(t, n) for t in range(40) for n in range(15)]
+        first = {key: apery_polynomial("a", *key) for key in keys}
+        info = apery_polynomial.cache_info()
+        assert info.maxsize == 512 and info.currsize == 512
+        assert all(apery_polynomial("a", *key) == value for key, value in first.items())
+        assert apery_polynomial.cache_info().misses >= 2 * len(keys) - 512
+        assert apery_polynomial.cache_info().currsize == 512
+        apery_polynomial.cache_clear()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             verify_apery("c", 0, 4, 8)
@@ -256,6 +269,66 @@ class TestApery:
             apery_polynomial("c", 0, 2)
         with pytest.raises(ValueError):
             verify_apery("a", 0, 0, 8)
+
+
+class TestPreconditions:
+    UNBALANCED = RatioSpec(1, ((1,),), ())
+    # Integral, but its step function is 0 somewhere on the subdomain.
+    BELOW_ONE = RatioSpec(1, ((2,), (1,), (2,)), ((2,), (2,), (1,)))
+
+    def test_refusals_name_the_hypothesis_in_order(self):
+        sweeps = {
+            "ratio congruence": lambda spec: verify_ratio_congruence(spec, 3, (1,)),
+            "prime congruence": lambda spec: verify_plucas_at_one(spec, 3, (1,)),
+            "scaled-point identity": lambda spec: verify_inter2_identity(spec, 3, (1,)),
+        }
+        reasons = [
+            (self.UNBALANCED, "spec column sums differ (e=(1,), f=(0,))"),
+            (INVERSE, "step function is negative somewhere"),
+            (self.BELOW_ONE, "step function is below 1 on the distinguished subdomain"),
+        ]
+        for subject, sweep in sweeps.items():
+            for spec, reason in reasons:
+                if subject == "scaled-point identity" and spec is self.BELOW_ONE:
+                    assert sweep(spec).ok
+                    continue
+                with pytest.raises(HypothesisViolated) as exc:
+                    sweep(spec)
+                assert str(exc.value) == f"{subject}: {reason}"
+
+    def test_box_checked_before_hypotheses(self):
+        for sweep in (
+            lambda box: verify_ratio_congruence(self.UNBALANCED, 3, box),
+            lambda box: verify_plucas_at_one(self.UNBALANCED, 3, box),
+            lambda box: verify_inter2_identity(self.UNBALANCED, 3, box),
+        ):
+            for box in ((1, 2), (-1,)):
+                with pytest.raises(ValueError, match=r"^n_box .* must be nonnegative of length 1$"):
+                    sweep(box)
+
+
+class TestEngineProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(balanced_specs())
+    @example(TestPreconditions.BELOW_ONE)
+    @example(RatioSpec(2, ((2, 0), (1, 1), (2, 1)), ((2, 0), (1, 0), (2, 1), (0, 1))))
+    @example(APERY)
+    def test_both_engines_hold_or_both_refuse(self, spec):
+        landau = check_landau(spec)
+        assume(landau.integrality)
+        d, box = spec.dim, (2,) * spec.dim
+        if not landau.criterion_D:
+            with pytest.raises(HypothesisViolated):
+                verify_ratio_congruence(spec, 3, box)
+            with pytest.raises(HypothesisViolated):
+                verify_plucas_at_one(spec, 5, box)
+            return
+        ratio = verify_ratio_congruence(spec, 3, box)
+        assert ratio.ok
+        assert ratio.checked == (1 + 2**d + 3**d) * 3**d
+        plucas = verify_plucas_at_one(spec, 5, box)
+        assert plucas.ok
+        assert plucas.checked == (2**d + 3**d + 5**d) * 3**d
 
 
 class TestReportShape:

@@ -13,7 +13,6 @@ from qlucas.intpoly import (
     IntPolynomial,
     NotDivisible,
     NotMonic,
-    _mul_kronecker,
     _mul_schoolbook,
     cyclotomic,
     div_one_minus_qk_exact,
@@ -104,16 +103,23 @@ class TestRingOps:
         assert a * (b + c) == a * b + a * c
 
     @given(big_coeffs, big_coeffs)
-    def test_kronecker_matches_schoolbook(self, a, b):
-        ta, tb = tuple(a), tuple(b)
-        assert _mul_kronecker(ta, tb) == _mul_schoolbook(ta, tb)
+    def test_big_coeff_product_evaluates_pointwise(self, a, b):
+        pa, pb = P(a), P(b)
+        for x in (-3, -1, 0, 1, 2, 10**6):
+            assert (pa * pb).evaluate(x) == pa.evaluate(x) * pb.evaluate(x)
 
-    def test_kronecker_cutoff_engaged(self):
-        # Force both kernels through the public operator at a size above the
-        # cutoff and compare against the schoolbook kernel directly.
+    def test_large_product_matches_binomial_kernel(self):
+        # 80 x 79 coefficient pairs, against the independent (1 - q^k) kernel:
+        # b = prod_{k=1..12} (1 - q^k), so a * b is mul_one_minus_qk applied to a
+        # once for each k.
         a = P([(-1) ** i * (i**3 + 1) for i in range(80)])
-        b = P([(7 * i - 300) ** 3 for i in range(90)])
-        assert (a * b).coeffs == tuple(_mul_schoolbook(a.coeffs, b.coeffs))
+        b, expected = ONE, a
+        for k in range(1, 13):
+            b = mul_one_minus_qk(b, k)
+            expected = mul_one_minus_qk(expected, k)
+        assert len(a.coeffs) * len(b.coeffs) > 4096
+        assert a * b == expected
+        assert b * a == expected
 
 
 class TestEvaluation:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from qlucas import catalog
+from qlucas import catalog, qcombinatorics
 from qlucas.intpoly import IntPolynomial, NotDivisible, cyclotomic, divide_exact, reduce_mod_cyclotomic
 from qlucas.qcombinatorics import (
     NegativeExponent,
@@ -24,6 +24,7 @@ from qlucas.qcombinatorics import (
     q_ratio_mod,
     ratio_degree,
 )
+from strategies import balanced_specs
 
 P = IntPolynomial
 
@@ -261,19 +262,27 @@ class TestQRatioMod:
             q_ratio_mod(CENTRAL, (2,), 0)
 
 
-@st.composite
-def balanced_specs(draw):
-    """Random balanced specs of dimension 1-2: nonzero vectors with entries at
-    most 2, the column gaps filled by unit vectors."""
-    dim = draw(st.integers(1, 2))
-    vec = st.tuples(*[st.integers(0, 2)] * dim).filter(any)
-    e = draw(st.lists(vec, min_size=1, max_size=3))
-    f = draw(st.lists(vec, min_size=0, max_size=3))
-    for j in range(dim):
-        gap = sum(v[j] for v in e) - sum(v[j] for v in f)
-        unit = tuple(int(i == j) for i in range(dim))
-        (f if gap > 0 else e).extend([unit] * abs(gap))
-    return RatioSpec(dim, tuple(e), tuple(f))
+class TestResiduePowerCache:
+    def test_bound_holds_and_eviction_keeps_results(self):
+        cache = qcombinatorics._residue_power_cache
+        bound = qcombinatorics._RESIDUE_POWER_CACHE_MAX
+        points = [(n, b) for n in ((4, 3), (6, 5)) for b in range(2, 13)]
+        expected = {(n, b): reduce_mod_cyclotomic(q_ratio(APERY, n), b) for n, b in points}
+        try:
+            # A full cache is emptied by the next miss, never by a hit.
+            cache.clear()
+            cache.update(((0, i, 0), P((i,))) for i in range(bound))
+            for n, b in points:
+                assert q_ratio_mod(APERY, n, b) == expected[n, b]
+                assert len(cache) <= bound
+            assert (0, 0, 0) not in cache
+            cache.update(((0, i, 0), P((i,))) for i in range(bound - len(cache)))
+            assert len(cache) == bound
+            for n, b in points:
+                assert q_ratio_mod(APERY, n, b) == expected[n, b]
+            assert len(cache) == bound
+        finally:
+            cache.clear()
 
 
 class TestRouteProperties:
