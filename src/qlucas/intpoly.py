@@ -339,13 +339,14 @@ def div_one_minus_qk_exact(a: IntPolynomial, k: int) -> IntPolynomial:
 # -- cyclotomic polynomials ----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def cyclotomic(b: int) -> IntPolynomial:
     """The b-th cyclotomic polynomial.
 
     Built by exact division: (q**b - 1) divided by the cyclotomic polynomials
-    of all proper divisors of b. Memoized; safe under the GIL since entries
-    are immutable and insertion is idempotent.
+    of all proper divisors of b. Memoized for the 1024 most recent indices;
+    safe under the GIL since entries are immutable and insertion is
+    idempotent.
     """
     if b < 1:
         raise ValueError("cyclotomic index must be >= 1")

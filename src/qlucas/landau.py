@@ -20,13 +20,22 @@ so an interior point exists. Midpoint witnesses are therefore exact, and a
 rational grid sample can discover every cell; the tests use that as an oracle.
 
 Feasibility is decided by exact Fourier-Motzkin elimination over the
-integers, tracking strictness; witnesses come from back-substitution with
-Fraction midpoints. All arithmetic is exact.
+integers, tracking strictness. The cell search is incremental: each search
+node keeps one constraint set per elimination level, and a child extends its
+parent's levels by its two slab constraints, pairing only the constraints
+new to a level against that level's opposite bounds and checking only the
+new constraints left without a variable. The levels equal those of the
+child's system eliminated from scratch, so internal nodes do no rational
+arithmetic; a leaf takes its witness by back-substitution through its own
+levels, with midpoints between the tightest bounds. All arithmetic is exact.
+The search reports its nodes and generated constraints, and its budget caps
+their sum.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -36,14 +45,15 @@ from .qcombinatorics import RatioSpec
 Vector = tuple[int, ...]
 Rational = Union[int, Fraction]
 
-#: Default cap on search nodes explored while enumerating cell signatures.
+#: Default cap on search nodes explored plus Fourier-Motzkin constraints they
+#: generate while enumerating cell signatures.
 DEFAULT_BUDGET = 10**6
 
 class DimensionTooLarge(RuntimeError):
     """Cell enumeration exceeded its search budget."""
 
     def __init__(self, budget: int):
-        super().__init__(f"cell enumeration exceeded the budget of {budget} nodes")
+        super().__init__(f"cell enumeration exceeded the budget of {budget} nodes and constraints")
         self.budget = budget
 
 
@@ -121,6 +131,8 @@ class LandauReport:
     min_value_on_D: Optional[int]
     num_cells: int
     violating_cells: tuple[CellValue, ...]
+    nodes: int  # search nodes explored
+    constraints: int  # Fourier-Motzkin constraints generated
 
     @property
     def ok(self) -> bool:
@@ -135,6 +147,8 @@ class LandauReport:
             "min_value_on_D": self.min_value_on_D,
             "num_cells": self.num_cells,
             "violating_cells": [cv.to_json_dict() for cv in self.violating_cells],
+            "nodes": self.nodes,
+            "constraints": self.constraints,
         }
 
 
@@ -187,71 +201,124 @@ def signature_at(spec: RatioSpec, x: Union[RationalPoint, Sequence[Rational]]) -
 Constraint = tuple[Vector, int, bool]
 
 
-def _reduce_constraint(coeffs: Sequence[int], rhs: int, strict: bool) -> Constraint:
-    g = 0
-    for c in coeffs:
-        g = math.gcd(g, c)
+def _eliminate(lower: Constraint, upper: Constraint, var: int) -> Constraint:
+    """The sum of positive multiples of a lower and an upper bound on x_var
+    in which x_var cancels, divided by the gcd of its coefficients when that
+    also divides its right-hand side. Strict if either bound is strict."""
+    (lc, lr, ls), (uc, ur, us) = lower, upper
+    lv, uv = -lc[var], uc[var]
+    coeffs = [lv * u + uv * l for l, u in zip(lc, uc)]
+    rhs = lv * ur + uv * lr
+    g = math.gcd(*coeffs)
     if g > 1 and rhs % g == 0:
-        return (tuple(c // g for c in coeffs), rhs // g, strict)
-    return (tuple(coeffs), rhs, strict)
+        return (tuple(c // g for c in coeffs), rhs // g, ls or us)
+    return (tuple(coeffs), rhs, ls or us)
 
 
-def _solve(cons: Iterable[Constraint], nvars: int) -> Optional[tuple[Fraction, ...]]:
-    cons = set(cons)
-    active = []
-    for coeffs, rhs, strict in cons:
-        if any(coeffs[:nvars]):
-            active.append((coeffs, rhs, strict))
-        elif rhs < 0 or (strict and rhs == 0):
-            return None
-    if nvars == 0:
-        return ()
-    var = nvars - 1
-    lowers, uppers, others = [], [], []
-    for c in active:
-        cv = c[0][var]
-        if cv < 0:
-            lowers.append(c)
-        elif cv > 0:
-            uppers.append(c)
-        else:
-            others.append(c)
-    projected = set(others)
-    for lc, lr, ls in lowers:
-        lv = -lc[var]
-        for uc, ur, us in uppers:
-            uv = uc[var]
-            coeffs = tuple(lv * u + uv * l for l, u in zip(lc, uc))
-            projected.add(_reduce_constraint(coeffs, lv * ur + uv * lr, ls or us))
-    sub = _solve(projected, var)
-    if sub is None:
-        return None
-    lo: Optional[Fraction] = None
-    up: Optional[Fraction] = None
-    lo_strict = up_strict = False
-    for coeffs, rhs, strict in lowers:
-        rest = sum(c * v for c, v in zip(coeffs, sub))
-        bound = Fraction(rhs - rest, coeffs[var])
-        if lo is None or bound > lo or (bound == lo and strict):
-            lo, lo_strict = bound, strict
-    for coeffs, rhs, strict in uppers:
-        rest = sum(c * v for c, v in zip(coeffs, sub))
-        bound = Fraction(rhs - rest, coeffs[var])
-        if up is None or bound < up or (bound == up and strict):
-            up, up_strict = bound, strict
-    if lo is None and up is None:
-        val = Fraction(0)
-    elif lo is None:
-        val = up - 1
-    elif up is None:
-        val = lo + 1 if lo_strict else lo
-    elif lo < up:
-        val = (lo + up) / 2
-    elif lo == up and not lo_strict and not up_strict:
-        val = lo
-    else:
-        return None
-    return sub + (val,)
+@dataclass
+class SearchCounts:
+    """Deterministic work counters of one cell enumeration."""
+
+    nodes: int = 0  # search nodes explored, pruned ones included
+    constraints: int = 0  # constraints added to the elimination levels
+
+
+class _Elimination:
+    """Fourier-Motzkin levels of a constraint system that grows and shrinks.
+
+    Level d is the system over x_0..x_{d-1}: level dim is the input, and
+    level d - 1 holds the constraints of level d free of x_{d-1} plus, for
+    every lower bound on x_{d-1} and every upper bound, their combination
+    with x_{d-1} eliminated. Each level is a set, and keeps its bounds on
+    x_{d-1} in two lists for back-substitution. Constraints with no variable
+    left are checked and not passed down; the system is feasible iff none of
+    them fails, since each level is the exact projection of the one above,
+    strictness included. Back-substitution therefore needs no check.
+
+    push carries only the constraints new to a level down to the next: new
+    lower bounds pair with every upper bound, new upper bounds with the old
+    lower bounds. So the levels after a push are exactly the levels of the
+    grown system built from scratch, and pop restores the levels before it.
+    Every constraint added is charged to the counts, and the counts to the
+    budget.
+    """
+
+    def __init__(self, dim: int, budget: int, counts: SearchCounts):
+        self.levels: list[tuple[set[Constraint], list[Constraint], list[Constraint]]] = [
+            (set(), [], []) for _ in range(dim + 1)
+        ]
+        self.budget = budget
+        self.counts = counts
+        self._undo: list[list[tuple[int, set[Constraint], int, int]]] = []
+
+    def charge(self, nodes: int, constraints: int) -> None:
+        self.counts.nodes += nodes
+        self.counts.constraints += constraints
+        if self.counts.nodes + self.counts.constraints > self.budget:
+            raise DimensionTooLarge(self.budget)
+
+    def push(self, new: Iterable[Constraint]) -> bool:
+        """Add constraints; False once one with no variable left fails.
+
+        Every push, feasible or not, is undone by one pop.
+        """
+        undo: list[tuple[int, set[Constraint], int, int]] = []
+        self._undo.append(undo)
+        for d in range(len(self.levels) - 1, -1, -1):
+            cons, lowers, uppers = self.levels[d]
+            fresh = set(new) - cons
+            cons |= fresh
+            n_lowers = len(lowers)
+            undo.append((d, fresh, n_lowers, len(uppers)))
+            self.charge(0, len(fresh))
+            var = d - 1
+            new, new_lowers, new_uppers = [], [], []
+            for con in fresh:
+                coeffs, rhs, strict = con
+                if not any(coeffs):
+                    if rhs < 0 or (strict and rhs == 0):
+                        return False
+                elif coeffs[var] < 0:
+                    new_lowers.append(con)
+                elif coeffs[var] > 0:
+                    new_uppers.append(con)
+                else:
+                    new.append(con)
+            lowers += new_lowers
+            uppers += new_uppers
+            new += [_eliminate(lo, up, var) for lo in new_lowers for up in uppers]
+            new += [_eliminate(lo, up, var) for lo in lowers[:n_lowers] for up in new_uppers]
+        return True
+
+    def pop(self) -> None:
+        for d, fresh, n_lowers, n_uppers in self._undo.pop():
+            cons, lowers, uppers = self.levels[d]
+            cons -= fresh
+            del lowers[n_lowers:]
+            del uppers[n_uppers:]
+
+    def witness(self) -> tuple[Fraction, ...]:
+        """A point of a feasible system by back-substitution, level 1 up.
+
+        Each x_{d-1} is the midpoint of the tightest lower and upper bound on
+        it given the coordinates before it; the box bounds make both exist.
+        The coordinates are kept as integers over one common denominator.
+        """
+        nums: list[int] = []
+        den = 1
+        for var, (_, lowers, uppers) in enumerate(self.levels[1:]):
+            # coeffs . x <= rhs is tight at x_var = (rhs den - rest) / (coeffs[var] den)
+            def tight(con: Constraint) -> Fraction:
+                coeffs, rhs, _ = con
+                rest = sum(map(operator.mul, coeffs, nums))
+                return Fraction(rhs * den - rest, coeffs[var] * den)
+
+            mid = (max(map(tight, lowers)) + min(map(tight, uppers))) / 2
+            scale = mid.denominator // math.gcd(den, mid.denominator)
+            nums = [n * scale for n in nums]
+            den *= scale
+            nums.append(mid.numerator * (den // mid.denominator))
+        return tuple(Fraction(n, den) for n in nums)
 
 
 def _box_constraints(dim: int) -> list[Constraint]:
@@ -272,37 +339,39 @@ def _slab_constraints(t: Vector, m: int) -> list[Constraint]:
 # -- cell enumeration --------------------------------------------------------------
 
 
-def enumerate_cells(spec: RatioSpec, budget: int = DEFAULT_BUDGET) -> tuple[CellSignature, ...]:
+def enumerate_cells(
+    spec: RatioSpec, budget: int = DEFAULT_BUDGET, counts: Optional[SearchCounts] = None
+) -> tuple[CellSignature, ...]:
     """All nonempty floor-signature cells of the unit box, with witnesses.
 
     Vectors are assigned largest component sum first; partial assignments
-    that are already infeasible prune the whole subtree. The budget bounds
-    the number of search nodes explored and raises DimensionTooLarge when
-    exceeded.
+    that are already infeasible prune the whole subtree. A child node extends
+    its parent's elimination levels by its two slab constraints, and a leaf
+    takes its witness from its own levels. The budget bounds the search nodes
+    explored plus the constraints they add to the levels, and raises
+    DimensionTooLarge when exceeded. Both are tallied in counts, if given.
     """
     vectors = sorted(spec.distinct_nonzero_vectors(), key=lambda t: (-sum(t), t))
-    base = _box_constraints(spec.dim)
+    elim = _Elimination(spec.dim, budget, counts if counts is not None else SearchCounts())
     results: list[CellSignature] = []
-    nodes = 0
 
-    def walk(idx: int, assigned: list[tuple[Vector, int]], cons: list[Constraint]):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise DimensionTooLarge(budget)
-        point = _solve(cons, spec.dim)
-        if point is None:
-            return
-        if idx == len(vectors):
-            witness = RationalPoint(point)
-            floors = tuple(sorted(assigned))
-            results.append(CellSignature(floors, witness))
-            return
-        t = vectors[idx]
-        for m in range(sum(t)):
-            walk(idx + 1, assigned + [(t, m)], cons + _slab_constraints(t, m))
+    def walk(idx: int, assigned: list[tuple[Vector, int]], new: list[Constraint]):
+        elim.charge(1, 0)
+        try:
+            if not elim.push(new):
+                return
+            if idx == len(vectors):
+                witness = RationalPoint(elim.witness())
+                floors = tuple(sorted(assigned))
+                results.append(CellSignature(floors, witness))
+                return
+            t = vectors[idx]
+            for m in range(sum(t)):
+                walk(idx + 1, assigned + [(t, m)], _slab_constraints(t, m))
+        finally:
+            elim.pop()
 
-    walk(0, [], list(base))
+    walk(0, [], _box_constraints(spec.dim))
     return tuple(results)
 
 
@@ -315,7 +384,8 @@ def check_landau(spec: RatioSpec, budget: int = DEFAULT_BUDGET) -> LandauReport:
     Violating cells carry exact rational witnesses. Specs whose column sums
     disagree are still analyzed; the minima then refer to the unit box only.
     """
-    cells = enumerate_cells(spec, budget)
+    counts = SearchCounts()
+    cells = enumerate_cells(spec, budget, counts)
     values = [CellValue(c, c.value(spec), c.in_domain) for c in cells]
     min_overall = min(cv.value for cv in values)
     domain_values = [cv.value for cv in values if cv.in_domain]
@@ -334,4 +404,6 @@ def check_landau(spec: RatioSpec, budget: int = DEFAULT_BUDGET) -> LandauReport:
         min_value_on_D=min_on_domain,
         num_cells=len(cells),
         violating_cells=tuple(violating),
+        nodes=counts.nodes,
+        constraints=counts.constraints,
     )

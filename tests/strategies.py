@@ -6,10 +6,10 @@ from qlucas.qcombinatorics import RatioSpec
 
 
 @st.composite
-def balanced_specs(draw):
-    """Random balanced specs of dimension 1-2: nonzero vectors with entries at
-    most 2, the column gaps filled by unit vectors."""
-    dim = draw(st.integers(1, 2))
+def balanced_specs(draw, max_dim=2):
+    """Random balanced specs of dimension 1 to max_dim: nonzero vectors with
+    entries at most 2, the column gaps filled by unit vectors."""
+    dim = draw(st.integers(1, max_dim))
     vec = st.tuples(*[st.integers(0, 2)] * dim).filter(any)
     e = draw(st.lists(vec, min_size=1, max_size=3))
     f = draw(st.lists(vec, min_size=0, max_size=3))

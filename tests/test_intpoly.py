@@ -249,6 +249,25 @@ class TestCyclotomic:
         with pytest.raises(ValueError):
             cyclotomic(0)
 
+    def test_memo_bound_holds_and_eviction_keeps_results(self):
+        # Primes are the cheap indices: phi_p is one division by q - 1.
+        phi = sieve_totients(8200)
+        primes = [p for p in range(3, 8200) if phi[p] == p - 1][:1023]
+        cyclotomic.cache_clear()
+        try:
+            assert cyclotomic(2) == P((1, 1))  # also memoizes phi_1
+            for p in primes:  # each one refreshes phi_1 and leaves phi_2 oldest
+                cyclotomic(p)
+            info = cyclotomic.cache_info()
+            assert info.maxsize == 1024 and info.currsize == 1024
+            assert cyclotomic(primes[-1]) == P((1,) * primes[-1])
+            assert cyclotomic.cache_info().misses == info.misses  # kept
+            assert cyclotomic(2) == P((1, 1))
+            assert cyclotomic.cache_info().misses == info.misses + 1  # evicted
+            assert cyclotomic.cache_info().currsize == 1024
+        finally:
+            cyclotomic.cache_clear()
+
 
 class TestReduceModCyclotomic:
     @given(poly(st.lists(st.integers(-20, 20), max_size=80)), st.integers(1, 30))

@@ -1,17 +1,24 @@
-"""landau tests: frozen small cases, a grid oracle for cells, and properties."""
+"""landau tests: frozen small cases, a grid oracle for cells, a from-scratch
+elimination oracle for the incremental search, and properties."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlucas import catalog
 from qlucas.landau import (
+    DEFAULT_BUDGET,
     CellSignature,
     DimensionTooLarge,
     RationalPoint,
+    SearchCounts,
+    _box_constraints,
+    _slab_constraints,
     check_landau,
     delta_at,
     enumerate_cells,
@@ -19,6 +26,7 @@ from qlucas.landau import (
     signature_at,
 )
 from qlucas.qcombinatorics import RatioSpec
+from strategies import balanced_specs
 
 CENTRAL = catalog.central_binomial_spec()
 APERY = catalog.apery_spec()
@@ -33,13 +41,111 @@ def grid_signatures(spec, denominator):
     # Oracle: collect every floor signature seen on a rational grid.
     seen = {}
     dims = [range(denominator) for _ in range(spec.dim)]
-    import itertools
-
     for nums in itertools.product(*dims):
         x = tuple(Fraction(k, denominator) for k in nums)
         sig = tuple(sorted(signature_at(spec, x).items()))
         seen.setdefault(sig, x)
     return seen
+
+
+# Oracle: every search node eliminates its whole system from scratch, and
+# witnesses come from back-substitution with the strictness tie rule.
+
+
+def _reduce_constraint(coeffs, rhs, strict):
+    g = 0
+    for c in coeffs:
+        g = math.gcd(g, c)
+    if g > 1 and rhs % g == 0:
+        return (tuple(c // g for c in coeffs), rhs // g, strict)
+    return (tuple(coeffs), rhs, strict)
+
+
+def _solve(cons, nvars):
+    cons = set(cons)
+    active = []
+    for coeffs, rhs, strict in cons:
+        if any(coeffs[:nvars]):
+            active.append((coeffs, rhs, strict))
+        elif rhs < 0 or (strict and rhs == 0):
+            return None
+    if nvars == 0:
+        return ()
+    var = nvars - 1
+    lowers, uppers, others = [], [], []
+    for c in active:
+        cv = c[0][var]
+        if cv < 0:
+            lowers.append(c)
+        elif cv > 0:
+            uppers.append(c)
+        else:
+            others.append(c)
+    projected = set(others)
+    for lc, lr, ls in lowers:
+        lv = -lc[var]
+        for uc, ur, us in uppers:
+            uv = uc[var]
+            coeffs = tuple(lv * u + uv * l for l, u in zip(lc, uc))
+            projected.add(_reduce_constraint(coeffs, lv * ur + uv * lr, ls or us))
+    sub = _solve(projected, var)
+    if sub is None:
+        return None
+    lo = up = None
+    lo_strict = up_strict = False
+    for coeffs, rhs, strict in lowers:
+        rest = sum(c * v for c, v in zip(coeffs, sub))
+        bound = Fraction(rhs - rest, coeffs[var])
+        if lo is None or bound > lo or (bound == lo and strict):
+            lo, lo_strict = bound, strict
+    for coeffs, rhs, strict in uppers:
+        rest = sum(c * v for c, v in zip(coeffs, sub))
+        bound = Fraction(rhs - rest, coeffs[var])
+        if up is None or bound < up or (bound == up and strict):
+            up, up_strict = bound, strict
+    if lo is None and up is None:
+        val = Fraction(0)
+    elif lo is None:
+        val = up - 1
+    elif up is None:
+        val = lo + 1 if lo_strict else lo
+    elif lo < up:
+        val = (lo + up) / 2
+    elif lo == up and not lo_strict and not up_strict:
+        val = lo
+    else:
+        return None
+    return sub + (val,)
+
+
+def oracle_cells(spec):
+    """The cells found by the same search with from-scratch elimination at
+    every node, and the number of nodes it explores."""
+    vectors = sorted(spec.distinct_nonzero_vectors(), key=lambda t: (-sum(t), t))
+    results = []
+    nodes = 0
+
+    def walk(idx, assigned, cons):
+        nonlocal nodes
+        nodes += 1
+        point = _solve(cons, spec.dim)
+        if point is None:
+            return
+        if idx == len(vectors):
+            results.append(CellSignature(tuple(sorted(assigned)), RationalPoint(point)))
+            return
+        t = vectors[idx]
+        for m in range(sum(t)):
+            walk(idx + 1, assigned + [(t, m)], cons + _slab_constraints(t, m))
+
+    walk(0, [], _box_constraints(spec.dim))
+    return tuple(results), nodes
+
+
+CATALOG_SPECS = [
+    catalog.builtin_spec(name)
+    for name in ("central:1", "central:2", "central:3", "binom:1", "binom:2", "apery", "inverse-central")
+] + [catalog.apery_family_spec("b")]
 
 
 class TestRationalPoint:
@@ -130,6 +236,19 @@ class TestEnumerateCells:
         with pytest.raises(DimensionTooLarge) as exc:
             enumerate_cells(APERY, budget=3)
         assert exc.value.budget == 3
+        assert "budget of 3 nodes and constraints" in str(exc.value)
+
+    def test_budget_charges_constraints(self):
+        # apery explores 18 nodes that generate 61 constraints: a budget on
+        # nodes alone would pass well below their sum of 79.
+        assert len(enumerate_cells(APERY, budget=79)) == 4
+        with pytest.raises(DimensionTooLarge):
+            enumerate_cells(APERY, budget=78)
+
+    @pytest.mark.parametrize("spec", CATALOG_SPECS, ids=str)
+    def test_catalog_specs_within_default_budget(self, spec):
+        rep = check_landau(spec)
+        assert rep.nodes + rep.constraints <= DEFAULT_BUDGET
 
     def test_zero_vector_skipped(self):
         spec = RatioSpec(1, ((0,), (1,)), ((1,),))
@@ -141,6 +260,20 @@ class TestEnumerateCells:
 
     def test_deterministic(self):
         assert enumerate_cells(APERY) == enumerate_cells(APERY)
+
+    @settings(max_examples=60, deadline=None)
+    @given(balanced_specs(max_dim=3))
+    @example(APERY)
+    @example(INVERSE)
+    @example(catalog.apery_family_spec("b"))
+    @example(RatioSpec(3, ((2, 1, 1), (1, 2, 1)), ((1, 1, 0), (1, 1, 1), (1, 0, 1), (0, 1, 0))))
+    def test_matches_from_scratch_oracle(self, spec):
+        counts = SearchCounts()
+        cells = enumerate_cells(spec, counts=counts)
+        expected, nodes = oracle_cells(spec)
+        assert [c.floors for c in cells] == [c.floors for c in expected]
+        assert [c.witness for c in cells] == [c.witness for c in expected]
+        assert counts.nodes == nodes
 
 
 class TestCheckLandau:
@@ -158,6 +291,7 @@ class TestCheckLandau:
         assert rep.min_value_overall == 0
         assert rep.min_value_on_D == 1
         assert rep.num_cells == 4
+        assert (rep.nodes, rep.constraints) == (18, 61)
 
     def test_inverse_central_fails_with_witness(self):
         rep = check_landau(INVERSE)
@@ -194,6 +328,7 @@ class TestCheckLandau:
         assert data["violating_cells"][0]["floors"] == [[[1], 0], [[2], 1]]
         assert data["violating_cells"][0]["value"] == -1
         assert data["spec"] == INVERSE.to_json_dict()
+        assert (data["nodes"], data["constraints"]) == (5, 9)
 
 
 class TestConsistency:
