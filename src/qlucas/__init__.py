@@ -24,7 +24,6 @@ from .intpoly import (
     NotDivisible,
     NotMonic,
     cyclotomic,
-    divide_exact,
     monomial,
     reduce_mod_cyclotomic,
     rem_monic,
@@ -107,7 +106,6 @@ __all__ = [
     "congruent_mod_cyclotomic",
     "cyclotomic",
     "delta_at",
-    "divide_exact",
     "enumerate_cells",
     "extract_cofactor",
     "find_relations",

@@ -1,11 +1,13 @@
 """Sweep verifiers for cyclotomic and prime congruences of factorial ratios.
 
-All verifiers share one report shape and one discipline: triples are
-enumerated lazily in a fixed order, every mismatch is recorded with both
-canonical residues, and a failure never aborts the sweep. The verifiers for
-the ratio congruence and its q = 1 shadow refuse specs that do not satisfy
-their hypotheses (balanced column sums plus both step-function conditions);
-they are checkers of stated facts, not explorers.
+Every verifier here, and series.verify_definition_Ld, runs one Lucas check
+(lucas_check): it walks an index box, splits each index as x = a + s n with
+a < s, and compares the residue at x with the residue at a times a q = 1
+factor at n. Every check is counted, every mismatch is recorded with both
+canonical residues in index order, and a failure never aborts the sweep.
+The verifiers for the ratio congruence and its q = 1 shadow refuse specs
+that do not satisfy their hypotheses (balanced column sums plus both
+step-function conditions); they are checkers of stated facts, not explorers.
 
 Residues modulo cyclotomic(b) come from the cyclotomic exponent vector of
 each point and values at q = 1 from integer factorials; no full ratio
@@ -16,10 +18,12 @@ written at.
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
 
 from . import catalog
@@ -30,7 +34,6 @@ from .qcombinatorics import (
     _ratio_step,
     cyclotomic_exponents,
     exponent_residue,
-    iter_box,
     q_ratio_at_one,
     q_ratio_mod,
 )
@@ -42,13 +45,23 @@ class HypothesisViolated(ValueError):
 
 @dataclass(frozen=True)
 class CongruenceFailure:
-    """One mismatched congruence instance, with canonical residues."""
+    """One mismatched congruence instance, with canonical residues.
+
+    Residues modulo a prime are given as integers and kept as constant
+    polynomials.
+    """
 
     b: int
     a: Optional[tuple[int, ...]]
     n: tuple[int, ...]
     lhs_residue: IntPolynomial
     rhs_residue: IntPolynomial
+
+    def __post_init__(self):
+        for name in ("lhs_residue", "rhs_residue"):
+            value = getattr(self, name)
+            if isinstance(value, int):
+                object.__setattr__(self, name, IntPolynomial((value,)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -169,28 +182,59 @@ def _run_sweep(sweep: Callable, spec: RatioSpec, moduli: list[int], n_box: tuple
     return sum(checked for checked, _ in parts), failures
 
 
-# -- ratio congruence ----------------------------------------------------------------
+# -- the Lucas check ------------------------------------------------------------------
 
 
-def _sweep_ratio_moduli(
-    spec: RatioSpec, moduli: list[int], n_box: tuple[int, ...]
+def lucas_check(
+    box: Sequence[int],
+    split: int,
+    residue: Callable,
+    factor: Callable[[tuple[int, ...]], int],
+    reduce: Callable,
+) -> tuple[int, dict, list]:
+    """Check residue(a + split n) == reduce(residue(a) * factor(n)) over a box.
+
+    Walks every x in the box 0..box, inclusive, in lexicographic order, and
+    splits it as x = a + split n with 0 <= a_i < split. Each x is one check.
+    Returns the number of checks, the base residues {a: residue(a)}, and the
+    mismatches (a, n, x, lhs, rhs) in walk order. The walk meets x = a before
+    any other x with offset a, so residue(a) is the left side of the check
+    at n = 0 and is evaluated once.
+    """
+    axes = [[(c, c % split, c // split) for c in range(top + 1)] for top in box]
+    base: dict = {}
+    mismatches = []
+    for parts in itertools.product(*axes):
+        x, a, n = zip(*parts)
+        lhs = residue(x)
+        rhs = reduce(base.setdefault(a, lhs) * factor(n))
+        if lhs != rhs:
+            mismatches.append((a, n, x, lhs, rhs))
+    return math.prod(map(len, axes)), base, mismatches
+
+
+def _sweep_moduli(
+    at_one: bool, spec: RatioSpec, moduli: list[int], n_box: tuple[int, ...]
 ) -> tuple[int, list[CongruenceFailure]]:
+    """(checked, failures) of Q(q; a + n b) == Q(q; a) Q(1; n) modulo
+    cyclotomic(b) for each b, or with at_one of its q = 1 shadow modulo the
+    prime b. The points a + n b are the box 0..b(N_i + 1) - 1 per axis."""
+    memo = _PointMemo(spec)
     checked = 0
     failures: list[CongruenceFailure] = []
-    memo = _PointMemo(spec)
-    steps = [(n, memo.ratio_at_one(n)) for n in iter_box(n_box)]
-    d = spec.dim
     for b in moduli:
-        for a in iter_box((b - 1,) * d):
-            base_res = memo.residue(a, b)
-            for n, n_at_one in steps:
-                checked += 1
-                point = tuple(a[i] + n[i] * b for i in range(d))
-                lhs = memo.residue(point, b)
-                rhs = reduce_mod_cyclotomic(base_res * n_at_one, b)
-                if lhs != rhs:
-                    failures.append(CongruenceFailure(b, a, n, lhs, rhs))
+        if at_one:
+            residue, reduce = (lambda x: memo.ratio_at_one(x) % b), (lambda v: v % b)
+        else:
+            residue, reduce = (lambda x: memo.residue(x, b)), (lambda v: reduce_mod_cyclotomic(v, b))
+        box = tuple(b * (c + 1) - 1 for c in n_box)
+        count, _, bad = lucas_check(box, b, residue, memo.ratio_at_one, reduce)
+        checked += count
+        failures += [CongruenceFailure(b, a, n, lhs, rhs) for a, n, _, lhs, rhs in bad]
     return checked, failures
+
+
+# -- ratio congruence ----------------------------------------------------------------
 
 
 def verify_ratio_congruence(
@@ -199,10 +243,11 @@ def verify_ratio_congruence(
     """Sweep Q(q; a + n b) == Q(q; a) Q(1; n) modulo cyclotomic(b).
 
     Runs over every modulus b = 1..b_max, offset a in the box below b, and
-    step n in the given box, inclusive. Requires a balanced spec that passes
-    both step-function hypotheses. jobs > 1 distributes moduli over worker
-    processes, at most one per modulus and per CPU; the merged report is
-    identical to the serial one.
+    step n in the given box, inclusive; within a modulus in the order of
+    a + n b. Requires a balanced spec that passes both step-function
+    hypotheses. jobs > 1 distributes moduli over worker processes, at most
+    one per modulus and per CPU; the merged report is identical to the
+    serial one.
     """
     n_box = _step_box(spec, n_box)
     if b_max < 1:
@@ -213,33 +258,12 @@ def verify_ratio_congruence(
         ranges={"spec": spec.to_json_dict(), "b_max": b_max, "n_box": list(n_box)},
     )
     moduli = list(range(1, b_max + 1))
-    report.checked, report.failures = _run_sweep(_sweep_ratio_moduli, spec, moduli, n_box, jobs)
+    sweep = partial(_sweep_moduli, False)
+    report.checked, report.failures = _run_sweep(sweep, spec, moduli, n_box, jobs)
     return report
 
 
 # -- q = 1 shadow ---------------------------------------------------------------------
-
-
-def _sweep_plucas_primes(
-    spec: RatioSpec, primes: list[int], n_box: tuple[int, ...]
-) -> tuple[int, list[CongruenceFailure]]:
-    checked = 0
-    failures: list[CongruenceFailure] = []
-    memo = _PointMemo(spec)
-    d = spec.dim
-    for p in primes:
-        for a in iter_box((p - 1,) * d):
-            base = memo.ratio_at_one(a) % p
-            for n in iter_box(n_box):
-                checked += 1
-                point = tuple(a[i] + n[i] * p for i in range(d))
-                lhs = memo.ratio_at_one(point) % p
-                rhs = base * (memo.ratio_at_one(n) % p) % p
-                if lhs != rhs:
-                    failures.append(
-                        CongruenceFailure(p, a, n, IntPolynomial((lhs,)), IntPolynomial((rhs,)))
-                    )
-    return checked, failures
 
 
 def verify_plucas_at_one(
@@ -247,17 +271,21 @@ def verify_plucas_at_one(
 ) -> CongruenceReport:
     """Sweep the integer congruence Q(1; a + n p) == Q(1; a) Q(1; n) mod p.
 
-    Runs over every prime p <= p_max. Same hypotheses and report shape as
-    verify_ratio_congruence; residues are reported as constant polynomials.
+    Runs over every prime p <= p_max. Same hypotheses, order and report
+    shape as verify_ratio_congruence; residues are reported as constant
+    polynomials.
     """
     n_box = _step_box(spec, n_box)
+    if p_max < 2:
+        raise ValueError("p_max must be >= 2")
     _require_hypotheses(spec, "prime congruence", subdomain=True)
     primes = [p for p in range(2, p_max + 1) if _is_prime(p)]
     report = CongruenceReport(
         subject="plucas-at-one",
         ranges={"spec": spec.to_json_dict(), "p_max": p_max, "n_box": list(n_box)},
     )
-    report.checked, report.failures = _run_sweep(_sweep_plucas_primes, spec, primes, n_box, jobs)
+    sweep = partial(_sweep_moduli, True)
+    report.checked, report.failures = _run_sweep(sweep, spec, primes, n_box, jobs)
     return report
 
 
@@ -267,6 +295,7 @@ def verify_plucas_at_one(
 def verify_inter2_identity(spec: RatioSpec, b: int, n_box: Sequence[int]) -> CongruenceReport:
     """Sweep Q(q; n b) == Q(1; n) modulo cyclotomic(b) over the box.
 
+    The Lucas check with split 1, whose only offset is a = 0 with Q(q; 0) = 1.
     Needs only balance and integrality (the subdomain condition plays no
     role here).
     """
@@ -278,12 +307,14 @@ def verify_inter2_identity(spec: RatioSpec, b: int, n_box: Sequence[int]) -> Con
         subject="inter2",
         ranges={"spec": spec.to_json_dict(), "b": b, "n_box": list(n_box)},
     )
-    for n in iter_box(n_box):
-        report.checked += 1
-        lhs = q_ratio_mod(spec, tuple(c * b for c in n), b)
-        rhs = reduce_mod_cyclotomic(IntPolynomial((q_ratio_at_one(spec, n),)), b)
-        if lhs != rhs:
-            report.failures.append(CongruenceFailure(b, None, n, lhs, rhs))
+    report.checked, _, bad = lucas_check(
+        n_box,
+        1,
+        lambda n: q_ratio_mod(spec, tuple(c * b for c in n), b),
+        partial(q_ratio_at_one, spec),
+        lambda v: reduce_mod_cyclotomic(v, b),
+    )
+    report.failures = [CongruenceFailure(b, None, n, lhs, rhs) for _, n, _, lhs, rhs in bad]
     return report
 
 
@@ -316,19 +347,21 @@ def check_cofactor(
 ) -> list[IntPolynomial]:
     """Check coeffs[m + n b] == B_m * g1[n] modulo cyclotomic(b) over the list.
 
-    B_m is coeffs[m] modulo cyclotomic(b) for m < b; the B_m are returned.
-    Every index is one check counted in the report, and failures are
-    appended in index order. g1 must cover len(coeffs) // b and start at 1.
+    The one-variable Lucas check: B_m is coeffs[m] modulo cyclotomic(b) for
+    m < b; the B_m are returned. Every index is one check counted in the
+    report, and failures are appended in index order. g1 must cover
+    len(coeffs) // b and start at 1.
     """
-    residues = [reduce_mod_cyclotomic(c, b) for c in coeffs[:b]]
-    for total, coeff in enumerate(coeffs):
-        m, n = total % b, total // b
-        report.checked += 1
-        lhs = reduce_mod_cyclotomic(coeff, b)
-        rhs = reduce_mod_cyclotomic(residues[m] * g1[n], b)
-        if lhs != rhs:
-            report.failures.append(CongruenceFailure(b, (m,), (n,), lhs, rhs))
-    return residues
+    checked, base, bad = lucas_check(
+        (len(coeffs) - 1,),
+        b,
+        lambda x: reduce_mod_cyclotomic(coeffs[x[0]], b),
+        lambda n: g1[n[0]],
+        lambda v: reduce_mod_cyclotomic(v, b),
+    )
+    report.checked += checked
+    report.failures += [CongruenceFailure(b, a, n, lhs, rhs) for a, n, _, lhs, rhs in bad]
+    return list(base.values())
 
 
 def verify_apery(family: str, t: int, b_max: int, total_max: int) -> CongruenceReport:

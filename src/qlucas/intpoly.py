@@ -2,17 +2,18 @@
 
 Polynomials are dense ascending coefficient tuples in canonical form: no
 trailing zeros, the zero polynomial is the empty tuple. Every operation is
-exact over the integers; division raises instead of truncating or drifting
-into floats. Multiplication is one schoolbook kernel: the products on the
-sweep and series paths are small, mostly residues modulo a cyclotomic
-polynomial, and at those sizes it beats packing into big integers.
+exact over the integers; division by 1 - q^k raises instead of truncating
+or drifting into floats, and the only other division is the remainder
+modulo a monic polynomial. Multiplication is one schoolbook kernel: the
+products on the sweep and series paths are small, mostly residues modulo a
+cyclotomic polynomial, and at those sizes it beats packing into big
+integers. Cyclotomic polynomials are Moebius products of 1 - q^d factors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from typing import Iterable, Iterator, Union
 
 Scalar = Union[int, Fraction]
@@ -224,78 +225,20 @@ def _mul_schoolbook(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
 # -- division -----------------------------------------------------------------
 
 
-def _divmod_monic(a: tuple[int, ...], m: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # m monic with len(m) >= 2. Returns (quotient, remainder below deg m).
-    dm = len(m) - 1
-    if len(a) <= dm:
-        return (), a
-    rem = list(a)
-    quo = [0] * (len(a) - dm)
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = rem[i]
-        if c:
-            quo[i - dm] = c
-            base = i - dm
-            for j in range(dm):
-                rem[base + j] -= c * m[j]
-    return tuple(quo), tuple(rem[:dm])
-
-
 def rem_monic(a: IntPolynomial, modulus: IntPolynomial) -> IntPolynomial:
     """Canonical remainder of a modulo a monic polynomial of degree >= 1."""
     m = modulus.coeffs
     if len(m) < 2 or m[-1] != 1:
         raise NotMonic(f"modulus must be monic of degree >= 1, got {modulus}")
-    _, rem = _divmod_monic(a.coeffs, m)
-    return IntPolynomial(rem)
-
-
-def divide_exact(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Quotient a / b when exact in Z[q]; raises NotDivisible otherwise."""
-    if not b.coeffs:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if not a.coeffs:
-        return ZERO
-    lead = b.coeffs[-1]
-    if lead == 1:
-        quo, rem = _divmod_monic(a.coeffs, b.coeffs)
-        if any(rem):
-            raise NotDivisible(IntPolynomial(rem))
-        return IntPolynomial(quo)
-    if lead == -1:
-        quo, rem = _divmod_monic(a.coeffs, tuple(-c for c in b.coeffs))
-        if any(rem):
-            raise NotDivisible(IntPolynomial(rem))
-        return IntPolynomial(tuple(-c for c in quo))
-    return _divide_exact_general(a, b)
-
-
-def _divide_exact_general(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    # Rational long division; exact only if remainder is zero and the
-    # quotient is integral. The error witness is the remainder cleared of
-    # denominators (zero remainder with fractional quotient reports zero).
-    rem = [Fraction(c) for c in a.coeffs]
-    bc = b.coeffs
-    dm = len(bc) - 1
-    lead = Fraction(bc[-1])
-    quo = [Fraction(0)] * max(len(rem) - dm, 0)
+    dm = len(m) - 1
+    rem = list(a.coeffs)
     for i in range(len(rem) - 1, dm - 1, -1):
-        c = rem[i] / lead
+        c = rem[i]
         if c:
-            quo[i - dm] = c
-            rem[i] = Fraction(0)
+            base = i - dm
             for j in range(dm):
-                rem[i - dm + j] -= c * bc[j]
-    tail = rem[:dm]
-    if any(tail):
-        denom = 1
-        for fr in tail:
-            denom = denom * fr.denominator // gcd(denom, fr.denominator)
-        witness = IntPolynomial(int(fr * denom) for fr in tail)
-        raise NotDivisible(witness)
-    if any(fr.denominator != 1 for fr in quo):
-        raise NotDivisible(ZERO, "remainder is zero but the quotient is not integral")
-    return IntPolynomial(int(fr) for fr in quo)
+                rem[base + j] -= c * m[j]
+    return IntPolynomial(rem[:dm])
 
 
 # -- binomial factors (1 - q^k) ----------------------------------------------
@@ -343,19 +286,34 @@ def div_one_minus_qk_exact(a: IntPolynomial, k: int) -> IntPolynomial:
 def cyclotomic(b: int) -> IntPolynomial:
     """The b-th cyclotomic polynomial.
 
-    Built by exact division: (q**b - 1) divided by the cyclotomic polynomials
-    of all proper divisors of b. Memoized for the 1024 most recent indices;
-    safe under the GIL since entries are immutable and insertion is
-    idempotent.
+    For b >= 2 it is the Moebius product prod_{d | b} (1 - q^d)^mu(b/d),
+    built with the (1 - q^k) kernels: the factors with mu = +1 multiplied
+    in ascending d, then those with mu = -1 divided out largest d first.
+    Memoized for the 1024 most recent indices; safe under the GIL since
+    entries are immutable and insertion is idempotent.
     """
     if b < 1:
         raise ValueError("cyclotomic index must be >= 1")
     if b == 1:
         return IntPolynomial((-1, 1))
-    poly = monomial(b) - 1
-    for d in range(1, b):
-        if b % d == 0:
-            poly = divide_exact(poly, cyclotomic(d))
+    # mu(b/d) is nonzero exactly when b/d is a product of distinct primes of b.
+    mu = {b: 1}
+    rest, p = b, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest
+        if rest % p == 0:
+            mu.update({d // p: -sign for d, sign in mu.items()})
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    poly = ONE
+    for d in sorted(mu):
+        if mu[d] > 0:
+            poly = mul_one_minus_qk(poly, d)
+    for d in sorted(mu, reverse=True):
+        if mu[d] < 0:
+            poly = div_one_minus_qk_exact(poly, d)
     return poly
 
 

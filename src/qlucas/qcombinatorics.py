@@ -21,12 +21,13 @@ together with a power of (1 - q): [m]_q! = prod_{k<=m} (1 - q^k) * (1-q)^(-m).
 One primitive, _ratio_step, moves a ratio value between two lattice points:
 it nets the factors whose counts change between them, multiplies the gained
 ones in ascending k and then divides the lost ones largest k first. q_ratio
-is the step from the origin, q_ratio_box steps each point from its
-predecessor, and the Apery-type sums step along an antidiagonal. Dividing
-last gives the same polynomial and the same fail-fast divisibility semantics
-as whole-factorial division: if the final ratio is a polynomial then so is
-every partial quotient, since it equals the final polynomial times the
-remaining denominator factors.
+is the step from the origin, q_binomial the step from the origin to
+(k, n - k) on the two-variable binomial spec, q_ratio_box steps each point
+from its predecessor, and the Apery-type sums step along an antidiagonal.
+Dividing last gives the same polynomial and the same fail-fast divisibility
+semantics as whole-factorial division: if the final ratio is a polynomial
+then so is every partial quotient, since it equals the final polynomial
+times the remaining denominator factors.
 """
 
 from __future__ import annotations
@@ -126,6 +127,9 @@ class RatioSpec:
         return cls(dim, tuple(tuple(v) for v in e), tuple(tuple(v) for v in f))
 
 
+_BINOMIAL = RatioSpec(2, ((1, 1),), ((1, 0), (0, 1)))
+
+
 def dot(vec: Sequence[int], n: Sequence[int]) -> int:
     return sum(map(operator.mul, vec, n))
 
@@ -160,16 +164,14 @@ def q_factorial(n: int) -> IntPolynomial:
 
 
 def q_binomial(n: int, k: int) -> IntPolynomial:
-    """Gaussian binomial; zero when k < 0 or k > n."""
+    """Gaussian binomial; zero when k < 0 or k > n.
+
+    The binomial ratio (n1 + n2)! / (n1! n2!) stepped from the origin to
+    (k, n - k).
+    """
     if k < 0 or k > n:
-        return IntPolynomial(())
-    k = min(k, n - k)
-    out = ONE
-    for i in range(1, k + 1):
-        out = mul_one_minus_qk(out, n - k + i)
-    for i in range(k, 0, -1):
-        out = div_one_minus_qk_exact(out, i)
-    return out
+        return ZERO
+    return _ratio_step(_BINOMIAL, ONE, (0, 0), (k, n - k))
 
 
 # -- ratio evaluation ----------------------------------------------------------

@@ -14,12 +14,13 @@ verify_definition_Ld decides membership in the class of series satisfying
 g(x) == A(x) * g(x^Q) mod p with per-variable degree of A below Q = p^k: that
 degree bound forces A's coefficients to equal g's own on the base box, so
 membership reduces to the sequence congruences g_(a+Qn) == g_a * g_n mod p,
-checked exhaustively over the truncation box.
+checked exhaustively over the truncation box. Both are the Lucas check of
+congruence.lucas_check: the cofactor check split by b, membership split by
+Q, whose base residues are the cofactor A.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
@@ -29,6 +30,7 @@ from .congruence import (
     HypothesisViolated,
     _is_prime,
     check_cofactor,
+    lucas_check,
 )
 from .intpoly import IntPolynomial
 from .landau import check_landau
@@ -249,26 +251,13 @@ def verify_definition_Ld(
         if c.degree > 0:
             raise ValueError("series must have integer coefficients")
         values[n] = (c.coeffs[0] if c.coeffs else 0) % p
-    zero = (0,) * d
-    if g.coeff(zero) != 1:
+    if g.coeff((0,) * d) != 1:
         raise ValueError("series must have constant term 1")
-    big_q = p**k
-    base_cap = min(big_q - 1, order)
-    cofactor = {a: values[a] for a in iter_box((base_cap,) * d)}
-    report = LdReport(
-        ok=True, modulus=p, power=k, order=order, cofactor=cofactor, checked=0
+    checked, cofactor, bad = lucas_check(
+        (order,) * d, p**k, values.__getitem__, values.__getitem__, lambda v: v % p
     )
-    for exp in iter_box((order,) * d):
-        report.checked += 1
-        a = tuple(c % big_q for c in exp)
-        n = tuple(c // big_q for c in exp)
-        lhs = values[exp]
-        rhs = values[a] * values[n] % p
-        if lhs != rhs:
-            report.ok = False
-            report.failures.append(
-                CongruenceFailure(
-                    p, a, exp, IntPolynomial((lhs,)), IntPolynomial((rhs,))
-                )
-            )
-    return report
+    failures = [CongruenceFailure(p, a, x, lhs, rhs) for a, _, x, lhs, rhs in bad]
+    return LdReport(
+        ok=not failures, modulus=p, power=k, order=order, cofactor=cofactor,
+        checked=checked, failures=failures,
+    )

@@ -211,6 +211,11 @@ class TestExitCodes:
         assert code == 2
         assert "prime" in err
 
+    def test_plucas_below_two(self, capsys):
+        code, out, err = run(capsys, ["verify-plucas", "--spec", "central", "--p-max", "1", "--n-box", "2"])
+        assert (code, out) == (2, "")
+        assert err == "error: p_max must be >= 2\n"
+
     def test_hypothesis_violation(self, capsys):
         code, _, _ = run(capsys, ["build-series", "--spec", "inverse-central", "--cap", "4"])
         assert code == 2

@@ -153,6 +153,73 @@ class TestWorkerPool:
         assert [f.b for f in failures] == list(range(1, 8))
 
 
+class TestLucasCheck:
+    def test_walk_splits_and_bases(self):
+        # residue = coordinate sum, factor 1: every x off its offset mismatches.
+        checked, base, bad = congruence.lucas_check((2, 1), 2, sum, lambda n: 1, lambda v: v)
+        assert checked == 6
+        assert base == {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
+        assert list(base) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert bad == [((0, 0), (1, 0), (2, 0), 2, 0), ((0, 1), (1, 0), (2, 1), 3, 1)]
+
+    def test_split_one_has_the_single_offset_zero(self):
+        checked, base, bad = congruence.lucas_check((3,), 1, lambda x: 1, lambda n: 1, lambda v: v)
+        assert (checked, base, bad) == (4, {(0,): 1}, [])
+
+
+def off_by_one_at_two(monkeypatch):
+    """Make the memo's q = 1 value wrong at the point (2,) only."""
+    exact = congruence._PointMemo.ratio_at_one
+
+    def ratio_at_one(self, n):
+        return exact(self, n) + (n == (2,))
+
+    monkeypatch.setattr(congruence._PointMemo, "ratio_at_one", ratio_at_one)
+
+
+def failure_records(report):
+    return [(f.b, f.a, f.n, f.lhs_residue.coeffs, f.rhs_residue.coeffs) for f in report.failures]
+
+
+class TestForcedMismatches:
+    """A wrong q = 1 value at one point: the sweeps report it in index order."""
+
+    RATIO = [
+        (1, (0,), (2,), (6,), (7,)),
+        (2, (0,), (2,), (6,), (7,)),
+        (3, (0,), (2,), (6,), (7,)),
+        (3, (1,), (2,), (6, 6), (7, 7)),
+    ]
+    PLUCAS = [
+        (2, (0,), (1,), (1,), ()),
+        (2, (0,), (2,), (), (1,)),
+        (3, (2,), (1,), (), (2,)),
+        (3, (0,), (2,), (), (1,)),
+        (3, (1,), (2,), (), (2,)),
+        (3, (2,), (2,), (), (1,)),
+        (5, (2,), (1,), (2,), (4,)),
+        (5, (0,), (2,), (1,), (2,)),
+        (5, (1,), (2,), (2,), (4,)),
+        (5, (2,), (2,), (1,), (4,)),
+    ]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_ratio_sweep(self, monkeypatch, pool_sizes, jobs):
+        off_by_one_at_two(monkeypatch)
+        report = verify_ratio_congruence(CENTRAL, 3, (2,), jobs=jobs)
+        assert report.checked == (1 + 2 + 3) * 3
+        assert failure_records(report) == self.RATIO
+        assert pool_sizes == ([2] if jobs == 2 else [])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_plucas_sweep(self, monkeypatch, pool_sizes, jobs):
+        off_by_one_at_two(monkeypatch)
+        report = verify_plucas_at_one(CENTRAL, 5, (2,), jobs=jobs)
+        assert report.checked == (2 + 3 + 5) * 3
+        assert failure_records(report) == self.PLUCAS
+        assert pool_sizes == ([2] if jobs == 2 else [])
+
+
 class TestVerifyPlucasAtOne:
     def test_central_primes(self):
         rep = verify_plucas_at_one(CENTRAL, 7, (6,))
@@ -295,6 +362,13 @@ class TestPreconditions:
                 with pytest.raises(HypothesisViolated) as exc:
                     sweep(spec)
                 assert str(exc.value) == f"{subject}: {reason}"
+
+    def test_plucas_needs_a_prime(self):
+        for p_max in (1, 0, -3):
+            with pytest.raises(ValueError, match=r"^p_max must be >= 2$"):
+                verify_plucas_at_one(self.UNBALANCED, p_max, (1,))
+        with pytest.raises(ValueError, match=r"^n_box "):
+            verify_plucas_at_one(CENTRAL, 1, (1, 1))
 
     def test_box_checked_before_hypotheses(self):
         for sweep in (

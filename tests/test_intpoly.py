@@ -16,12 +16,12 @@ from qlucas.intpoly import (
     _mul_schoolbook,
     cyclotomic,
     div_one_minus_qk_exact,
-    divide_exact,
     monomial,
     mul_one_minus_qk,
     reduce_mod_cyclotomic,
     rem_monic,
 )
+from oracles import cyclotomic_by_division, divide_monic
 
 P = IntPolynomial
 Q = P((0, 1))
@@ -136,35 +136,10 @@ class TestEvaluation:
 
 
 class TestDivision:
-    def test_divide_exact_frozen(self):
-        assert divide_exact(P((-1, 0, 1)), P((-1, 1))) == P((1, 1))
-        assert divide_exact(P((-1, 0, 0, 0, 1)), P((1, 0, 1))) == P((-1, 0, 1))
-        assert divide_exact(ZERO, P((1, 1))) == ZERO
-
-    def test_divide_exact_remainder_witness(self):
-        # q^2 + 1 = (q - 1)(q + 1) + 2
-        with pytest.raises(NotDivisible) as exc:
-            divide_exact(P((1, 0, 1)), P((1, 1)))
-        assert exc.value.remainder == P((2,))
-
-    def test_divide_by_negative_lead(self):
-        # (1 - q^2) / (1 - q) = 1 + q
-        assert divide_exact(P((1, 0, -1)), P((1, -1))) == P((1, 1))
-
-    def test_divide_by_constant(self):
-        assert divide_exact(P((2, 0, 2)), P((2,))) == P((1, 0, 1))
-        with pytest.raises(NotDivisible):
-            divide_exact(Q, P((2,)))
-
-    def test_divide_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            divide_exact(ONE, ZERO)
-
-    @given(poly(), poly())
-    def test_mul_then_divide_round_trip(self, a, b):
-        if not b:
-            return
-        assert divide_exact(a * b, b) == a
+    @given(poly(), st.lists(st.integers(-9, 9), max_size=5))
+    def test_long_division_oracle_round_trip(self, a, tail):
+        m = P(tuple(tail) + (1,))
+        assert divide_monic(a * m, m) == a
 
     def test_rem_monic_frozen(self):
         # q^3 = q(q^2 + 1) - q
@@ -186,7 +161,7 @@ class TestDivision:
         m = P(tuple(mtail.coeffs) + (0,) * (1 - len(mtail.coeffs)) + (1,))
         r = rem_monic(a, m)
         assert r.degree < m.degree
-        quo = divide_exact(a - r, m)
+        quo = divide_monic(a - r, m)
         assert quo * m + r == a
 
 
@@ -231,6 +206,10 @@ class TestCyclotomic:
                     prod = prod * cyclotomic(d)
             assert prod == monomial(b) - 1, b
 
+    def test_moebius_product_matches_long_division(self):
+        for b in range(1, 301):
+            assert cyclotomic(b) == cyclotomic_by_division(b), b
+
     def test_degree_is_totient(self):
         phi = sieve_totients(120)
         for b in range(1, 121):
@@ -250,20 +229,22 @@ class TestCyclotomic:
             cyclotomic(0)
 
     def test_memo_bound_holds_and_eviction_keeps_results(self):
-        # Primes are the cheap indices: phi_p is one division by q - 1.
+        # Each index is one entry: the Moebius product calls no other index.
         phi = sieve_totients(8200)
         primes = [p for p in range(3, 8200) if phi[p] == p - 1][:1023]
         cyclotomic.cache_clear()
         try:
-            assert cyclotomic(2) == P((1, 1))  # also memoizes phi_1
-            for p in primes:  # each one refreshes phi_1 and leaves phi_2 oldest
+            assert cyclotomic(2) == P((1, 1))
+            for p in primes:
                 cyclotomic(p)
             info = cyclotomic.cache_info()
             assert info.maxsize == 1024 and info.currsize == 1024
+            assert info.misses == 1024
             assert cyclotomic(primes[-1]) == P((1,) * primes[-1])
             assert cyclotomic.cache_info().misses == info.misses  # kept
+            cyclotomic(4)  # a new index evicts phi_2, the oldest entry
             assert cyclotomic(2) == P((1, 1))
-            assert cyclotomic.cache_info().misses == info.misses + 1  # evicted
+            assert cyclotomic.cache_info().misses == info.misses + 2  # evicted
             assert cyclotomic.cache_info().currsize == 1024
         finally:
             cyclotomic.cache_clear()

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qlucas import catalog
-from qlucas.congruence import HypothesisViolated, apery_polynomial
+from qlucas.congruence import HypothesisViolated, apery_polynomial, verify_plucas_at_one
 from qlucas.intpoly import IntPolynomial, reduce_mod_cyclotomic
 from qlucas.qcombinatorics import q_binomial, q_ratio
 from qlucas.series import (
@@ -229,6 +229,23 @@ class TestVerifyDefinitionLd:
         report = verify_definition_Ld(g, 5, 1, 15)
         seq = catalog.central_power_sequence(1, 4)
         assert report.cofactor == {(a,): seq[a] % 5 for a in range(5)}
+
+    def test_agrees_with_the_prime_sweep(self):
+        # At order p(N + 1) - 1, L_d of the q = 1 sequence checks the p(N + 1)
+        # indices that the prime sweep spends on p.
+        n = 4
+        for r in (1, 2, 3):
+            checked = 0
+            for p in (2, 3, 5):
+                order = p * (n + 1) - 1
+                g = TruncatedSeries.from_coefficients(catalog.central_power_sequence(r, order))
+                report = verify_definition_Ld(g, p, 1, order)
+                assert report.ok, (r, p)
+                assert report.checked == p * (n + 1)
+                checked += report.checked
+            sweep = verify_plucas_at_one(catalog.central_binomial_spec(r), 5, (n,))
+            assert sweep.ok
+            assert sweep.checked == checked
 
     def test_validation(self):
         g = TruncatedSeries.from_coefficients([1, 1, 2])
