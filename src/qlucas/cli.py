@@ -10,11 +10,15 @@ failures, 1 when a verification reported failures or a negative verdict, and
 Long values are elided in text mode only, with an explicit marker; JSON
 output is always complete. The QLUCAS_JOBS environment variable sets the
 default worker count for sweep commands.
+
+The argument parser is built on the first call to main, not at import, and
+every later main call in the same process reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -46,6 +50,15 @@ def _csv_ints(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
+def _nonnegative_int(text: str) -> int:
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
 
 
 def _rational(text: str) -> Fraction:
@@ -332,6 +345,7 @@ def _cmd_find_relations(args):
 # -- parser -------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qlucas",
@@ -389,13 +403,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--t", type=_csv_ints)
     p.add_argument("--m", type=_csv_ints)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_nonnegative_int, required=True)
 
     p = add("extract-cofactor", _cmd_extract_cofactor, "cyclotomic residues of a specialized series")
     p.add_argument("--spec", required=True)
     p.add_argument("--t", type=_csv_ints)
     p.add_argument("--m", type=_csv_ints)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_nonnegative_int, required=True)
     p.add_argument("--b", type=int, required=True)
 
     p = add("verify-apery", _cmd_verify_apery, "sweep the Apery-type congruence")
@@ -408,14 +422,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series", required=True, help="JSON file or built-in sequence name")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_nonnegative_int, required=True)
 
     p = add("find-relations", _cmd_find_relations, "search for algebraic relations")
     p.add_argument("--series", action="append", required=True,
                    help="JSON file or built-in sequence name; repeatable")
     p.add_argument("--dx", type=int, required=True)
     p.add_argument("--dy", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_nonnegative_int, required=True)
     p.add_argument("--margin", type=int, default=DEFAULT_MARGIN)
     p.add_argument("--q", type=_rational, default=Fraction(1))
 
@@ -423,23 +437,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         params, report, ok = args.handler(args)
+        envelope = {
+            "command": args.command,
+            "params": params,
+            "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            "report": report,
+        }
+        _emit(envelope, args.format, args.output)
     except (ValueError, ArithmeticError, OSError, KeyError, DimensionTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    envelope = {
-        "command": args.command,
-        "params": params,
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "report": report,
-    }
-    _emit(envelope, args.format, args.output)
     return 0 if ok else 1
 
 

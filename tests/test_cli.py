@@ -1,15 +1,22 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import qlucas
+from qlucas import cli
 from qlucas.cli import main
 from qlucas.congruence import apery_polynomial
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report.schema.json").read_text()
 )
+SRC = str(Path(qlucas.__file__).resolve().parent.parent)
 
 
 def run(capsys, argv):
@@ -240,6 +247,18 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "jobs" in err
 
+    @pytest.mark.parametrize("command", [
+        ["specialize", "--spec", "central"],
+        ["extract-cofactor", "--spec", "central", "--b", "2"],
+        ["verify-ld", "--series", "g1", "--p", "2"],
+        ["find-relations", "--series", "g1", "--dx", "1", "--dy", "1"],
+    ], ids=lambda command: command[0])
+    def test_negative_order(self, capsys, command):
+        code, out, err = run(capsys, command + ["--order", "-1"])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: qlucas {command[0]} ")
+        assert err.endswith("argument --order: expected a nonnegative integer, got '-1'\n")
+
     def test_order_too_small(self, capsys):
         code, _, _ = run(
             capsys,
@@ -259,6 +278,17 @@ class TestOutputModes:
         envelope = json.loads(target.read_text())
         jsonschema.validate(envelope, SCHEMA)
         assert envelope["report"]["degree"] == 4
+
+    def test_output_unwritable(self, capsys, tmp_path):
+        # A missing directory and a directory itself: a configuration error,
+        # not a negative verdict, and nothing on stdout.
+        for target in (tmp_path / "missing" / "report.json", tmp_path):
+            code, out, err = run(
+                capsys, ["cyclotomic", "5", "--format", "json", "--output", str(target)]
+            )
+            assert (code, out) == (2, ""), target
+            assert err.startswith("error: ") and str(target) in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_text_mode_elides_long_values(self, capsys):
         code, out, _ = run(capsys, ["qbinom", "40", "20"])
@@ -284,3 +314,80 @@ class TestOutputModes:
         _, parallel = run_json(capsys, argv)
         assert serial["report"] == parallel["report"]
         assert parallel["params"]["jobs"] == 2
+
+
+def _fresh_process(argv):
+    """(exit code, stdout, stderr) of ``python -m qlucas.cli`` in a new interpreter."""
+    env = {**os.environ, "PYTHONPATH": SRC, "COLUMNS": "80"}
+    env.pop("QLUCAS_JOBS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qlucas.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _without_timestamp(out):
+    envelope = json.loads(out)
+    del envelope["timestamp"]
+    return envelope
+
+
+class TestOneProcess:
+    # The second qratio drops --mod and the second find-relations gives
+    # --series once, so a default or an append list leaking from one call
+    # into the next would change the later report.
+    SEQUENCE = [
+        ["qratio", "--spec", "central", "--point", "4", "--mod", "3", "--format", "json"],
+        ["qratio", "--spec", "central", "--point", "4", "--format", "json"],
+        ["find-relations", "--series", "g1", "--series", "g1", "--dx", "1", "--dy", "1",
+         "--order", "20", "--format", "json"],
+        ["find-relations", "--series", "g1", "--dx", "1", "--dy", "2", "--order", "30",
+         "--format", "json"],
+        ["check-landau", "--spec", "apery", "--format", "json"],
+        ["nosuch-command"],
+        ["verify-congruence", "--spec", "central"],
+        ["--help"],
+    ]
+
+    def test_calls_match_fresh_processes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv("QLUCAS_JOBS", raising=False)
+        codes = []
+        for argv in self.SEQUENCE:
+            code, out, err = run(capsys, argv)
+            fresh_code, fresh_out, fresh_err = _fresh_process(argv)
+            assert code == fresh_code, argv
+            if "--format" in argv:
+                assert _without_timestamp(out) == _without_timestamp(fresh_out), argv
+            else:
+                assert (out, err) == (fresh_out, fresh_err), argv
+            if code == 2:
+                assert (out, err.startswith("usage: qlucas")) == ("", True), argv
+            codes.append(code)
+        assert codes == [0, 0, 0, 0, 0, 2, 2, 0]
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if self.prog == "qlucas":
+                built.append(self)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._build_parser.cache_clear()
+        for argv in self.SEQUENCE + [["cyclotomic", "7"], ["qbinom", "5", "2"]]:
+            main(argv)
+        capsys.readouterr()
+        assert len(built) == 1
+        assert cli._build_parser.cache_info().currsize == 1
+
+    def test_import_builds_no_parser(self):
+        probe = "import qlucas.cli as c; print(c._build_parser.cache_info().currsize)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": SRC}, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "0\n")
