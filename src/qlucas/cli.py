@@ -364,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("b", type=int)
 
     p = add("qbinom", _cmd_qbinom, "compute a Gaussian binomial coefficient")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_nonnegative_int)
     p.add_argument("k", type=int)
     p.add_argument("--mod", type=int, help="reduce modulo this cyclotomic index")
 

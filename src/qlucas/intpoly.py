@@ -8,12 +8,25 @@ modulo a monic polynomial. Multiplication is one schoolbook kernel: the
 products on the sweep and series paths are small, mostly residues modulo a
 cyclotomic polynomial, and at those sizes it beats packing into big
 integers. Cyclotomic polynomials are Moebius products of 1 - q^d factors.
+
+The linear kernels loop over whole slices, so the per-coefficient work runs
+in C (``map``, ``itertools.accumulate``, ``sum``): addition, multiplication
+by 1 - q^k, exact division by 1 - q^k, and the fold by exponent mod b in
+reduce_mod_cyclotomic. The two stride loops, the fold (stride b) and the
+running sums of the division (stride k), take whichever of two forms loops
+fewer times in Python over n coefficients: one pass per residue class when
+stride * stride <= n, else one pass per block of stride coefficients.
+The schoolbook product and rem_monic keep per-coefficient loops: their rows
+are short on the sweep path, where moving them to ``map`` made the sweep
+benchmark's wall time about a third worse (0.33 s to 0.44 s).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import add, sub
 from typing import Iterable, Iterator, Union
 
 Scalar = Union[int, Fraction]
@@ -93,10 +106,7 @@ class IntPolynomial:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
+        return IntPolynomial(tuple(map(add, a, b)) + a[len(b):])
 
     __radd__ = __add__
 
@@ -245,38 +255,44 @@ def rem_monic(a: IntPolynomial, modulus: IntPolynomial) -> IntPolynomial:
 
 
 def mul_one_minus_qk(a: IntPolynomial, k: int) -> IntPolynomial:
-    """a * (1 - q**k) for k >= 1, in one pass."""
+    """a * (1 - q**k) for k >= 1, in one pass; ValueError for k < 1."""
+    if k < 1:
+        raise ValueError(f"(1 - q^k) needs k >= 1, got {k}")
     c = a.coeffs
     if not c:
         return ZERO
-    out = [0] * (len(c) + k)
-    out[: len(c)] = c
-    for j, cj in enumerate(c):
-        out[j + k] -= cj
+    out = list(c) + [0] * k
+    out[k:] = map(sub, out[k:], c)  # out[j] -= c[j - k]
     return IntPolynomial._raw(tuple(out))
 
 
 def div_one_minus_qk_exact(a: IntPolynomial, k: int) -> IntPolynomial:
-    """a / (1 - q**k) when exact; raises NotDivisible with the remainder."""
+    """a / (1 - q**k) for k >= 1 when exact; raises NotDivisible with the remainder.
+
+    ValueError for k < 1.
+    """
+    if k < 1:
+        raise ValueError(f"(1 - q^k) needs k >= 1, got {k}")
     c = a.coeffs
     if not c:
         return ZERO
     n = len(c)
     if n <= k:
         raise NotDivisible(a)
+    # Running sums s[j] = c[j] + s[j - k] over all n coefficients: the first
+    # m are the quotient, the last k the remainder's only nonzero entries.
+    if k * k <= n:
+        s = [0] * n
+        for r in range(k):
+            s[r::k] = accumulate(c[r::k])
+    else:
+        s = list(c[:k])
+        for j in range(k, n, k):
+            s += map(add, c[j : j + k], s[j - k : j])
     m = n - k
-    quo = [0] * m
-    for j in range(m):
-        quo[j] = c[j] + (quo[j - k] if j >= k else 0)
-    for j in range(m, n):
-        expected = -quo[j - k] if j >= k else 0
-        if c[j] != expected:
-            rem = list(c)
-            for i, qc in enumerate(quo):
-                rem[i] -= qc
-                rem[i + k] += qc
-            raise NotDivisible(IntPolynomial(rem))
-    return IntPolynomial._raw(tuple(quo))
+    if any(s[m:]):
+        raise NotDivisible(IntPolynomial([0] * m + s[m:]))
+    return IntPolynomial._raw(tuple(s[:m]))
 
 
 # -- cyclotomic polynomials ----------------------------------------------------
@@ -327,12 +343,16 @@ def reduce_mod_cyclotomic(a: IntPolynomial, b: int) -> IntPolynomial:
     phi = cyclotomic(b)
     dphi = len(phi.coeffs) - 1
     c = a.coeffs
-    if len(c) <= dphi:
+    n = len(c)
+    if n <= dphi:
         return a
-    if len(c) > b:
-        buckets = [0] * b
-        for j, cj in enumerate(c):
-            buckets[j % b] += cj
+    if n > b:
+        if n >= b * b:
+            buckets = [sum(c[r::b]) for r in range(b)]
+        else:
+            buckets = list(c[:b])
+            for j in range(b, n, b):
+                buckets[: n - j] = map(add, buckets, c[j : j + b])
         a = IntPolynomial(buckets)
         if len(a.coeffs) <= dphi:
             return a

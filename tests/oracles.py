@@ -2,7 +2,7 @@
 
 from functools import lru_cache
 
-from qlucas.intpoly import IntPolynomial, monomial
+from qlucas.intpoly import ZERO, IntPolynomial, NotDivisible, cyclotomic, monomial, rem_monic
 
 
 def divide_monic(a: IntPolynomial, m: IntPolynomial) -> IntPolynomial:
@@ -27,3 +27,74 @@ def cyclotomic_by_division(b: int) -> IntPolynomial:
         if b % d == 0:
             poly = divide_monic(poly, cyclotomic_by_division(d))
     return poly
+
+
+# The per-coefficient loops that the slice kernels of intpoly replaced, kept
+# as references for the exact coefficients and NotDivisible remainders.
+
+
+def mul_one_minus_qk_loop(a: IntPolynomial, k: int) -> IntPolynomial:
+    """a * (1 - q**k) for k >= 1, in one pass."""
+    c = a.coeffs
+    if not c:
+        return ZERO
+    out = [0] * (len(c) + k)
+    out[: len(c)] = c
+    for j, cj in enumerate(c):
+        out[j + k] -= cj
+    return IntPolynomial._raw(tuple(out))
+
+
+def div_one_minus_qk_exact_loop(a: IntPolynomial, k: int) -> IntPolynomial:
+    """a / (1 - q**k) when exact; raises NotDivisible with the remainder."""
+    c = a.coeffs
+    if not c:
+        return ZERO
+    n = len(c)
+    if n <= k:
+        raise NotDivisible(a)
+    m = n - k
+    quo = [0] * m
+    for j in range(m):
+        quo[j] = c[j] + (quo[j - k] if j >= k else 0)
+    for j in range(m, n):
+        expected = -quo[j - k] if j >= k else 0
+        if c[j] != expected:
+            rem = list(c)
+            for i, qc in enumerate(quo):
+                rem[i] -= qc
+                rem[i + k] += qc
+            raise NotDivisible(IntPolynomial(rem))
+    return IntPolynomial._raw(tuple(quo))
+
+
+def reduce_mod_cyclotomic_loop(a: IntPolynomial, b: int) -> IntPolynomial:
+    """Canonical remainder of a modulo cyclotomic(b).
+
+    High-degree inputs are first folded by exponent mod b, valid because
+    q**b == 1 modulo q**b - 1 and cyclotomic(b) divides q**b - 1; the
+    canonical remainder is unchanged.
+    """
+    phi = cyclotomic(b)
+    dphi = len(phi.coeffs) - 1
+    c = a.coeffs
+    if len(c) <= dphi:
+        return a
+    if len(c) > b:
+        buckets = [0] * b
+        for j, cj in enumerate(c):
+            buckets[j % b] += cj
+        a = IntPolynomial(buckets)
+        if len(a.coeffs) <= dphi:
+            return a
+    return rem_monic(a, phi)
+
+
+def add_loop(a: tuple[int, ...], b: tuple[int, ...]) -> IntPolynomial:
+    """IntPolynomial.__add__ on coefficient tuples."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return IntPolynomial(out)

@@ -50,6 +50,11 @@ class TestComputationCommands:
         assert code == 0
         assert envelope["report"]["polynomial"] == "q^4 + q^3 + 2*q^2 + q + 1"
 
+    def test_qbinom_k_outside_zero_to_n(self, capsys):
+        code, envelope = run_json(capsys, ["qbinom", "3", "5"])
+        assert code == 0
+        assert envelope["report"]["coefficients"] == []
+
     def test_qbinom_mod(self, capsys):
         code, envelope = run_json(capsys, ["qbinom", "4", "2", "--mod", "2"])
         assert code == 0
@@ -258,6 +263,12 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith(f"usage: qlucas {command[0]} ")
         assert err.endswith("argument --order: expected a nonnegative integer, got '-1'\n")
+
+    def test_qbinom_negative_n(self, capsys):
+        code, out, err = run(capsys, ["qbinom", "-1", "2"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: qlucas qbinom ")
+        assert err.endswith("argument n: expected a nonnegative integer, got '-1'\n")
 
     def test_order_too_small(self, capsys):
         code, _, _ = run(

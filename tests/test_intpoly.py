@@ -21,7 +21,14 @@ from qlucas.intpoly import (
     reduce_mod_cyclotomic,
     rem_monic,
 )
-from oracles import cyclotomic_by_division, divide_monic
+from oracles import (
+    add_loop,
+    cyclotomic_by_division,
+    div_one_minus_qk_exact_loop,
+    divide_monic,
+    mul_one_minus_qk_loop,
+    reduce_mod_cyclotomic_loop,
+)
 
 P = IntPolynomial
 Q = P((0, 1))
@@ -43,6 +50,37 @@ big_coeffs = st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=40)
 
 def poly(coeffs=small_coeffs):
     return st.builds(P, coeffs)
+
+
+# Coefficients up to 10^30 in size, with small ones (and zeros) common so that
+# sums cancel.
+wide_ints = st.one_of(st.integers(-2, 2), st.integers(-(10**30), 10**30))
+
+
+def boundary_lengths(k):
+    """Lengths around the switch between the two loop forms of a stride-k
+    kernel: k*k just below, at and just above the length, taken both as the
+    quotient length m and as the input length m + k; k >= m; short inputs."""
+    sq = k * k
+    picks = (0, 1, k - 1, k, sq - k - 1, sq - k, sq - k + 1, sq - 1, sq, sq + 1)
+    return sorted({n for n in picks if n >= 0})
+
+
+@st.composite
+def canonical_coeffs(draw, length):
+    """A canonical coefficient tuple of exactly the given length."""
+    if not length:
+        return ()
+    body = draw(st.lists(wide_ints, min_size=length - 1, max_size=length - 1))
+    return tuple(body) + (draw(wide_ints.filter(bool)),)
+
+
+def div_outcome(div, a, k):
+    """The quotient's coefficients, or ("NotDivisible", remainder coefficients)."""
+    try:
+        return div(a, k).coeffs
+    except NotDivisible as exc:
+        return "NotDivisible", exc.remainder.coeffs
 
 
 class TestCanonicalForm:
@@ -93,6 +131,17 @@ class TestRingOps:
     def test_shift(self):
         assert P((1, 2)).shift(2) == P((0, 0, 1, 2))
         assert ZERO.shift(3) == ZERO
+
+    @given(st.lists(wide_ints, max_size=30), st.lists(wide_ints, max_size=30), st.data())
+    def test_add_matches_loop_oracle(self, a, b, data):
+        a, b = P(a).coeffs, P(b).coeffs
+        if data.draw(st.booleans()):
+            # Cancel a tail of a so the sum must shed trailing zeros.
+            cut = data.draw(st.integers(0, len(a)))
+            head = data.draw(st.lists(wide_ints, min_size=cut, max_size=cut))
+            b = P(tuple(head) + tuple(-x for x in a[cut:])).coeffs
+        assert (P(a) + P(b)).coeffs == add_loop(a, b).coeffs
+        assert (P(b) + P(a)).coeffs == add_loop(a, b).coeffs
 
     @given(poly(), poly(), poly())
     def test_ring_axioms(self, a, b, c):
@@ -182,6 +231,42 @@ class TestBinomialFactors:
         with pytest.raises(NotDivisible):
             div_one_minus_qk_exact(P((1, 1, 1)), 2)
 
+    def test_k_below_one_rejected(self):
+        a = P((1, 2, 3))
+        for k in (0, -1, -2):
+            with pytest.raises(ValueError):
+                mul_one_minus_qk(a, k)
+            with pytest.raises(ValueError):
+                div_one_minus_qk_exact(a, k)
+        with pytest.raises(ValueError):
+            mul_one_minus_qk(ZERO, 0)
+        with pytest.raises(ValueError):
+            div_one_minus_qk_exact(ZERO, 0)
+
+    @settings(max_examples=40)
+    @given(st.integers(1, 9), st.data())
+    def test_mul_matches_loop_oracle(self, k, data):
+        for n in boundary_lengths(k):
+            a = P(data.draw(canonical_coeffs(n)))
+            assert mul_one_minus_qk(a, k).coeffs == mul_one_minus_qk_loop(a, k).coeffs
+
+    @settings(max_examples=40)
+    @given(st.integers(1, 9), st.data())
+    def test_div_matches_loop_oracle(self, k, data):
+        # Per quotient length: a product with (1 - q^k), which divides; that
+        # product with one coefficient moved; and the drawn coefficients alone.
+        for m in boundary_lengths(k):
+            quo = data.draw(canonical_coeffs(m))
+            exact = mul_one_minus_qk_loop(P(quo), k)
+            inputs = [exact, P(quo)]
+            if exact:
+                i = data.draw(st.integers(0, len(exact.coeffs) - 1))
+                inputs.append(exact + monomial(i, data.draw(wide_ints.filter(bool))))
+            for a in inputs:
+                expected = div_outcome(div_one_minus_qk_exact_loop, a, k)
+                assert div_outcome(div_one_minus_qk_exact, a, k) == expected
+            assert div_outcome(div_one_minus_qk_exact, exact, k) == quo
+
     @given(poly(), st.integers(1, 8))
     def test_binomial_round_trip(self, a, k):
         prod = mul_one_minus_qk(a, k)
@@ -256,9 +341,23 @@ class TestReduceModCyclotomic:
         assert reduce_mod_cyclotomic(a, b) == rem_monic(a, cyclotomic(b))
 
     def test_fold_path_engaged(self):
-        # Degree far above b so the exponent-folding path runs.
-        a = monomial(10_001) + monomial(5_000) + 3
-        assert reduce_mod_cyclotomic(a, 5) == rem_monic(a, cyclotomic(5))
+        # Degree above b so the exponent fold runs: by residue sums when the
+        # length is at least b*b, by blocks of b when it lies between.
+        sparse = monomial(10_001) + monomial(5_000) + 3
+        dense = P([(-1) ** j * (j * j + 7) for j in range(1_000)])
+        cases = ((sparse, 5), (dense, 31), (dense, 200), (sparse, 200))
+        assert [len(a.coeffs) >= b * b for a, b in cases] == [True, True, False, False]
+        for a, b in cases:
+            assert len(a.coeffs) > b
+            assert reduce_mod_cyclotomic(a, b) == rem_monic(a, cyclotomic(b))
+            assert reduce_mod_cyclotomic(a, b) == reduce_mod_cyclotomic_loop(a, b)
+
+    @settings(max_examples=40)
+    @given(st.integers(1, 9), st.data())
+    def test_matches_loop_oracle(self, b, data):
+        for n in boundary_lengths(b) + [b + 1, 2 * b + 1]:
+            a = P(data.draw(canonical_coeffs(n)))
+            assert reduce_mod_cyclotomic(a, b).coeffs == reduce_mod_cyclotomic_loop(a, b).coeffs
 
     def test_b_equals_one_is_evaluation(self):
         a = P((1, 2, 3, 4))
