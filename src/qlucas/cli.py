@@ -7,9 +7,15 @@ command produce byte-identical JSON apart from the timestamp. Exit status is
 failures, 1 when a verification reported failures or a negative verdict, and
 2 on configuration errors.
 
+main resolves the outside input before it calls the subcommand's handler:
+--spec is loaded (a built-in name or a JSON file) and --jobs falls back to
+the QLUCAS_JOBS environment variable, then to 1. A handler returns
+(report, ok) and may write resolved defaults back to its arguments. params
+then echoes every parsed argument except --format and --output, with specs
+expanded to JSON, tuples as lists and rationals as strings.
+
 Long values are elided in text mode only, with an explicit marker; JSON
-output is always complete. The QLUCAS_JOBS environment variable sets the
-default worker count for sweep commands.
+output is always complete.
 
 The argument parser is built on the first call to main, not at import, and
 every later main call in the same process reuses it.
@@ -73,21 +79,46 @@ def _is_file(source: str) -> bool:
     return source.endswith(".json") or os.path.sep in source or os.path.exists(source)
 
 
+def _read_json(source: str):
+    return json.loads(Path(source).read_text(encoding="utf-8"))
+
+
 def _load_spec(source: str) -> RatioSpec:
     if _is_file(source):
-        with open(source, encoding="utf-8") as fh:
-            return RatioSpec.from_json_dict(json.load(fh))
+        return RatioSpec.from_json_dict(_read_json(source))
     return catalog.builtin_spec(source)
 
 
 def _load_sequence(source: str, order: int, qval: Fraction) -> list:
     if _is_file(source):
-        with open(source, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = _read_json(source)
         if not isinstance(raw, list):
             raise ValueError(f"{source}: expected a JSON list of numbers")
         return [v if isinstance(v, int) else Fraction(str(v)) for v in raw]
     return catalog.builtin_sequence(source, order, qval)
+
+
+def _load_series(source: str, order: int) -> TruncatedSeries:
+    if _is_file(source):
+        raw = _read_json(source)
+        if not isinstance(raw, dict) or not {"num_vars", "cap", "coefficients"} <= raw.keys():
+            raise ValueError(f"{source}: expected a JSON object with num_vars, cap and coefficients")
+        return TruncatedSeries.from_json_list(raw["num_vars"], raw["cap"], raw["coefficients"])
+    coeffs = catalog.builtin_sequence(source, order, 1)
+    if any(not isinstance(c, int) for c in coeffs):
+        raise ValueError("verify-ld needs an integer sequence")
+    return TruncatedSeries.from_coefficients(coeffs)
+
+
+def _jobs(flag: int | None) -> int:
+    """The --jobs flag, else QLUCAS_JOBS, else 1."""
+    if flag is not None:
+        return flag
+    raw = os.environ.get("QLUCAS_JOBS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"QLUCAS_JOBS must be an integer, got {raw!r}") from None
 
 
 def _poly_json(p: IntPolynomial) -> dict:
@@ -144,170 +175,108 @@ def _emit(envelope: dict, fmt: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _jobs(args) -> int:
-    if args.jobs is not None:
-        return args.jobs
-    return int(os.environ.get("QLUCAS_JOBS", "1"))
+def _echo(value):
+    """One parsed argument as it appears in params."""
+    if isinstance(value, RatioSpec):
+        return value.to_json_dict()
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, Fraction):
+        return str(value)
+    return value
 
 
 # -- subcommand handlers --------------------------------------------------------------
 
 
+def _verdict(report):
+    return report.to_json_dict(), report.ok
+
+
 def _cmd_cyclotomic(args):
-    poly = cyclotomic(args.b)
-    report = {"b": args.b, **_poly_json(poly)}
-    return {"b": args.b}, report, True
+    return {"b": args.b, **_poly_json(cyclotomic(args.b))}, True
 
 
 def _cmd_qbinom(args):
     poly = q_binomial(args.n, args.k)
     if args.mod is not None:
         poly = reduce_mod_cyclotomic(poly, args.mod)
-    params = {"n": args.n, "k": args.k, "mod": args.mod}
-    return params, {**params, **_poly_json(poly)}, True
+    return {"n": args.n, "k": args.k, "mod": args.mod, **_poly_json(poly)}, True
 
 
 def _cmd_qratio(args):
-    spec = _load_spec(args.spec)
-    params = {
-        "spec": spec.to_json_dict(),
-        "point": list(args.point),
-        "mod": args.mod,
-        "at_one": args.at_one,
-    }
     if args.at_one:
         try:
-            value = q_ratio_at_one(spec, args.point)
+            value = q_ratio_at_one(args.spec, args.point)
         except NotDivisible as exc:
-            return params, {"integral": False, "error": str(exc)}, False
-        return params, {"integral": True, "value_at_one": value}, True
+            return {"integral": False, "error": str(exc)}, False
+        return {"integral": True, "value_at_one": value}, True
     try:
         if args.mod is not None:
-            poly = q_ratio_mod(spec, args.point, args.mod)
-            return params, {"mod": args.mod, **_poly_json(poly)}, True
-        poly = q_ratio(spec, args.point)
+            poly = q_ratio_mod(args.spec, args.point, args.mod)
+            return {"mod": args.mod, **_poly_json(poly)}, True
+        poly = q_ratio(args.spec, args.point)
     except (NotDivisible, NegativeExponent) as exc:
-        return params, {"integral": False, "error": str(exc)}, False
-    return params, {"integral": True, **_poly_json(poly)}, True
+        return {"integral": False, "error": str(exc)}, False
+    return {"integral": True, **_poly_json(poly)}, True
 
 
 def _cmd_check_landau(args):
-    spec = _load_spec(args.spec)
-    report = check_landau(spec, budget=args.budget)
-    params = {"spec": spec.to_json_dict(), "budget": args.budget}
-    return params, report.to_json_dict(), report.ok
+    return _verdict(check_landau(args.spec, budget=args.budget))
 
 
 def _cmd_verify_congruence(args):
-    spec = _load_spec(args.spec)
-    jobs = _jobs(args)
-    report = verify_ratio_congruence(spec, args.b_max, args.n_box, jobs=jobs)
-    params = {
-        "spec": spec.to_json_dict(),
-        "b_max": args.b_max,
-        "n_box": list(args.n_box),
-        "jobs": jobs,
-    }
-    return params, report.to_json_dict(), report.ok
+    return _verdict(verify_ratio_congruence(args.spec, args.b_max, args.n_box, jobs=args.jobs))
 
 
 def _cmd_verify_plucas(args):
-    spec = _load_spec(args.spec)
-    jobs = _jobs(args)
-    report = verify_plucas_at_one(spec, args.p_max, args.n_box, jobs=jobs)
-    params = {
-        "spec": spec.to_json_dict(),
-        "p_max": args.p_max,
-        "n_box": list(args.n_box),
-        "jobs": jobs,
-    }
-    return params, report.to_json_dict(), report.ok
+    return _verdict(verify_plucas_at_one(args.spec, args.p_max, args.n_box, jobs=args.jobs))
 
 
 def _cmd_verify_inter2(args):
-    spec = _load_spec(args.spec)
-    report = verify_inter2_identity(spec, args.b, args.n_box)
-    params = {"spec": spec.to_json_dict(), "b": args.b, "n_box": list(args.n_box)}
-    return params, report.to_json_dict(), report.ok
+    return _verdict(verify_inter2_identity(args.spec, args.b, args.n_box))
 
 
 def _cmd_build_series(args):
-    spec = _load_spec(args.spec)
-    series = build_F(spec, args.cap)
-    params = {"spec": spec.to_json_dict(), "cap": list(args.cap)}
+    series = build_F(args.spec, args.cap)
     report = {
         "num_vars": series.num_vars,
         "cap": list(series.cap),
         "coefficients": series.to_json_list(),
     }
-    return params, report, True
+    return report, True
 
 
-def _specialized(spec: RatioSpec, t, m, order: int) -> TruncatedSeries:
-    cap = tuple(order // mj if mj else 0 for mj in m)
-    return specialize(build_F(spec, cap), t, m, order)
+def _specialized(args) -> TruncatedSeries:
+    """The --spec series at x_j <- q^t_j x^m_j; writes the --t/--m defaults to args."""
+    args.t = args.t or (0,) * args.spec.dim
+    args.m = args.m or (1,) * args.spec.dim
+    cap = tuple(args.order // mj if mj else 0 for mj in args.m)
+    return specialize(build_F(args.spec, cap), args.t, args.m, args.order)
 
 
 def _cmd_specialize(args):
-    spec = _load_spec(args.spec)
-    t = args.t if args.t is not None else (0,) * spec.dim
-    m = args.m if args.m is not None else (1,) * spec.dim
-    series = _specialized(spec, t, m, args.order)
-    params = {
-        "spec": spec.to_json_dict(),
-        "t": list(t),
-        "m": list(m),
-        "order": args.order,
-    }
-    report = {
-        "order": args.order,
-        "coefficients": series.to_json_list(),
-    }
-    return params, report, True
+    series = _specialized(args)
+    return {"order": args.order, "coefficients": series.to_json_list()}, True
 
 
 def _cmd_extract_cofactor(args):
-    spec = _load_spec(args.spec)
-    t = args.t if args.t is not None else (0,) * spec.dim
-    m = args.m if args.m is not None else (1,) * spec.dim
-    series = _specialized(spec, t, m, args.order)
-    base = series.values_at_q(1)
-    residues, report = extract_cofactor(series, base, args.b, args.order)
-    params = {
-        "spec": spec.to_json_dict(),
-        "t": list(t),
-        "m": list(m),
-        "order": args.order,
-        "b": args.b,
-    }
+    series = _specialized(args)
+    residues, report = extract_cofactor(series, series.values_at_q(1), args.b, args.order)
     out = {
         "residues": [_poly_json(r) for r in residues],
         "check": report.to_json_dict(),
     }
-    return params, out, report.ok
+    return out, report.ok
 
 
 def _cmd_verify_apery(args):
-    report = verify_apery(args.family, args.t, args.b_max, args.n_max)
-    params = {"family": args.family, "t": args.t, "b_max": args.b_max, "n_max": args.n_max}
-    return params, report.to_json_dict(), report.ok
+    return _verdict(verify_apery(args.family, args.t, args.b_max, args.n_max))
 
 
 def _cmd_verify_ld(args):
-    if _is_file(args.series):
-        with open(args.series, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        series = TruncatedSeries.from_json_list(
-            raw["num_vars"], raw["cap"], raw["coefficients"]
-        )
-    else:
-        coeffs = catalog.builtin_sequence(args.series, args.order, 1)
-        if any(not isinstance(c, int) for c in coeffs):
-            raise ValueError("verify-ld needs an integer sequence")
-        series = TruncatedSeries.from_coefficients(coeffs)
-    report = verify_definition_Ld(series, args.p, args.k, args.order)
-    params = {"series": args.series, "p": args.p, "k": args.k, "order": args.order}
-    return params, report.to_json_dict(), report.ok
+    series = _load_series(args.series, args.order)
+    return _verdict(verify_definition_Ld(series, args.p, args.k, args.order))
 
 
 def _cmd_find_relations(args):
@@ -326,20 +295,12 @@ def _cmd_find_relations(args):
         candidates.append(
             {**cand.to_json_dict(), "pretty": str(cand), "stability": status}
         )
-    params = {
-        "series": list(args.series),
-        "dx": args.dx,
-        "dy": args.dy,
-        "order": args.order,
-        "margin": args.margin,
-        "q": str(args.q),
-    }
     report = {
         "count": len(candidates),
         "stability_order": stability_order,
         "candidates": candidates,
     }
-    return params, report, not any_artifact
+    return report, not any_artifact
 
 
 # -- parser -------------------------------------------------------------------------
@@ -416,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("a", "b"), required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--b-max", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_nonnegative_int, required=True)
 
     p = add("verify-ld", _cmd_verify_ld, "decide the mod-p functional equation class")
     p.add_argument("--series", required=True, help="JSON file or built-in sequence name")
@@ -430,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dx", type=int, required=True)
     p.add_argument("--dy", type=int, required=True)
     p.add_argument("--order", type=_nonnegative_int, required=True)
-    p.add_argument("--margin", type=int, default=DEFAULT_MARGIN)
+    p.add_argument("--margin", type=_nonnegative_int, default=DEFAULT_MARGIN)
     p.add_argument("--q", type=_rational, default=Fraction(1))
 
     return parser
@@ -442,10 +403,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        params, report, ok = args.handler(args)
+        if hasattr(args, "spec"):
+            args.spec = _load_spec(args.spec)
+        if hasattr(args, "jobs"):
+            args.jobs = _jobs(args.jobs)
+        report, ok = args.handler(args)
         envelope = {
             "command": args.command,
-            "params": params,
+            "params": {
+                key: _echo(value)
+                for key, value in vars(args).items()
+                if key not in ("command", "handler", "format", "output")
+            },
             "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             "report": report,
         }

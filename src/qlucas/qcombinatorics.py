@@ -124,7 +124,10 @@ class RatioSpec:
             f = data["f"]
         except KeyError as exc:
             raise ValueError(f"ratio spec missing key {exc.args[0]!r}") from exc
-        return cls(dim, tuple(tuple(v) for v in e), tuple(tuple(v) for v in f))
+        try:
+            return cls(dim, tuple(tuple(v) for v in e), tuple(tuple(v) for v in f))
+        except TypeError:
+            raise ValueError("ratio spec e and f must be lists of integer vectors") from None
 
 
 _BINOMIAL = RatioSpec(2, ((1, 1),), ((1, 0), (0, 1)))

@@ -242,6 +242,8 @@ def find_relations(
     """
     if dx < 0 or dy < 0:
         raise ValueError("dx and dy must be nonnegative")
+    if margin < 0:
+        raise ValueError("margin must be nonnegative")
     _validate_series(series, order, OrderTooSmall)
     monomials = _monomials(len(series), dx, dy)
     ncols = len(monomials)

@@ -103,11 +103,20 @@ class TruncatedSeries:
 
     @classmethod
     def from_json_list(cls, num_vars: int, cap: Sequence[int], data: Sequence[Mapping]) -> "TruncatedSeries":
-        coeffs = {
-            tuple(entry["exponents"]): IntPolynomial.from_strings(entry["coeff"])
-            for entry in data
-        }
-        return cls(num_vars, tuple(cap), coeffs)
+        """Inverse of to_json_list; raises ValueError for any other shape."""
+        try:
+            coeffs = {}
+            for entry in data:
+                if isinstance(entry["coeff"], str):  # would be read digit by digit
+                    raise TypeError
+                coeffs[tuple(entry["exponents"])] = IntPolynomial.from_strings(entry["coeff"])
+            cap = tuple(cap)
+        except (TypeError, KeyError):
+            raise ValueError(
+                "series coefficients must be a list of {exponents, coeff} objects, "
+                "with the coefficients as a list of integers"
+            ) from None
+        return cls(num_vars, cap, coeffs)
 
 
 @dataclass

@@ -251,6 +251,10 @@ class TestExitCodes:
         code, out, err = run(capsys, command)
         assert (code, out) == (2, "")
         assert "jobs" in err
+        monkeypatch.setenv("QLUCAS_JOBS", "abc")
+        code, out, err = run(capsys, command)
+        assert (code, out) == (2, "")
+        assert err == "error: QLUCAS_JOBS must be an integer, got 'abc'\n"
 
     @pytest.mark.parametrize("command", [
         ["specialize", "--spec", "central"],
@@ -269,6 +273,30 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("usage: qlucas qbinom ")
         assert err.endswith("argument n: expected a nonnegative integer, got '-1'\n")
+
+    @pytest.mark.parametrize("command", [
+        ["find-relations", "--series", "g1", "--dx", "1", "--dy", "2", "--order", "3", "--margin"],
+        ["verify-apery", "--family", "a", "--t", "1", "--b-max", "4", "--n-max"],
+    ], ids=lambda command: command[-1])
+    def test_negative_count_flag(self, capsys, command):
+        code, out, err = run(capsys, command + ["-1"])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: qlucas {command[0]} ")
+        assert err.endswith(f"argument {command[-1]}: expected a nonnegative integer, got '-1'\n")
+
+    @pytest.mark.parametrize("command, option, content", [
+        (["qratio", "--point", "1"], "--spec", {"dim": 1, "e": [2], "f": [1]}),
+        (["check-landau"], "--spec", {"dim": 1, "e": 5, "f": [[1]]}),
+        (["verify-ld", "--p", "2", "--order", "2"], "--series", [1, 2, 3]),
+        (["verify-ld", "--p", "2", "--order", "2"], "--series",
+         {"num_vars": 1, "cap": [2], "coefficients": [[0, ["1"]]]}),
+    ], ids=["spec-flat-vectors", "spec-scalar-e", "series-top-level-list", "series-list-entry"])
+    def test_malformed_json_input(self, capsys, tmp_path, command, option, content):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        code, out, err = run(capsys, command + [option, str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
     def test_order_too_small(self, capsys):
         code, _, _ = run(

@@ -1,15 +1,17 @@
-"""Golden CLI reports: each command's JSON output and exit code, byte for byte.
+"""Golden CLI reports: each command's output and exit code, byte for byte.
 
 tests/golden/manifest.json lists the commands (name, argv, exit code); the
-JSON report of each is in tests/golden/<name>.json with its timestamp
-replaced by a fixed string. The test reruns every command in process and
-compares. To re-record after an intended output change, run
+JSON report of each is in tests/golden/<name>.json and its text report in
+tests/golden/<name>.txt, both with the timestamp replaced by a fixed string.
+The test reruns every command in process, in both formats, and compares. To
+re-record after an intended output change, run
 
     PYTHONPATH=src python tests/test_golden.py
 
 and review the diff of tests/golden/.
 """
 
+import argparse
 import json
 import re
 import sys
@@ -19,12 +21,16 @@ from pathlib import Path
 
 import pytest
 
-from qlucas.cli import main
+from qlucas.cli import _build_parser, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFEST = GOLDEN / "manifest.json"
-TIMESTAMP = re.compile(r'^(  "timestamp": )"[^"]*"', re.MULTILINE)
-FIXED = r'\1"<timestamp>"'
+# The timestamp line of each format, and its fixed stand-in.
+TIMESTAMP = {
+    "json": (re.compile(r'^(  "timestamp": )"[^"]*"', re.MULTILINE), r'\1"<timestamp>"'),
+    "text": (re.compile(r"^(timestamp: ).*$", re.MULTILINE), r"\1<timestamp>"),
+}
+SUFFIX = {"json": ".json", "text": ".txt"}
 
 # The README's command-line examples, with build-series and specialize cut to
 # small orders, plus a failing verify-ld and a parallel verify-plucas.
@@ -48,12 +54,13 @@ COMMANDS = {
 }
 
 
-def report(argv):
-    """(exit code, JSON output with the timestamp fixed) of one in-process run."""
+def report(argv, fmt="json"):
+    """(exit code, output with the timestamp fixed) of one in-process run."""
     out = StringIO()
     with redirect_stdout(out):
-        code = main(argv + ["--format", "json"])
-    return code, TIMESTAMP.sub(FIXED, out.getvalue())
+        code = main(argv + ["--format", fmt])
+    pattern, fixed = TIMESTAMP[fmt]
+    return code, pattern.sub(fixed, out.getvalue())
 
 
 def _manifest():
@@ -64,20 +71,30 @@ def test_manifest_covers_the_commands():
     assert {name: entry["argv"] for name, entry in _manifest().items()} == COMMANDS
 
 
+def test_every_subcommand_has_a_golden():
+    subparsers = next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    pinned = {entry["argv"][0] for entry in _manifest().values()}
+    assert sorted(set(subparsers.choices) - pinned) == []
+
+
+@pytest.mark.parametrize("fmt", sorted(SUFFIX))
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_report_matches_golden(name):
+def test_report_matches_golden(name, fmt):
     entry = _manifest()[name]
-    code, out = report(entry["argv"])
+    code, out = report(entry["argv"], fmt)
     assert "<timestamp>" in out
     assert code == entry["exit"]
-    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert out == (GOLDEN / f"{name}{SUFFIX[fmt]}").read_text(encoding="utf-8")
 
 
 def record():
     manifest = {}
     for name, argv in COMMANDS.items():
-        code, out = report(argv)
-        (GOLDEN / f"{name}.json").write_text(out, encoding="utf-8")
+        for fmt, suffix in SUFFIX.items():
+            code, out = report(argv, fmt)
+            (GOLDEN / f"{name}{suffix}").write_text(out, encoding="utf-8")
         manifest[name] = {"argv": argv, "exit": code}
     MANIFEST.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 

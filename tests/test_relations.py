@@ -174,6 +174,11 @@ class TestValidation:
             find_relations(data, dx=1, dy=2, order=10, margin=5)
         assert find_relations(data, dx=1, dy=2, order=10, margin=4)
 
+    def test_negative_margin_rejected(self):
+        # A negative margin would admit an underdetermined system.
+        with pytest.raises(ValueError, match="margin"):
+            find_relations([geometric_sequence(40)], dx=1, dy=2, order=3, margin=-20)
+
     def test_verify_short_data_raises(self):
         cand = RelationCandidate(
             terms=(((0, 0), 1), ((0, 1), -1), ((1, 1), 1)), verified_order=20
