@@ -67,6 +67,15 @@ def _nonnegative_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
 def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -337,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("check-landau", _cmd_check_landau, "decide the step-function hypotheses")
     p.add_argument("--spec", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
 
     p = add("verify-congruence", _cmd_verify_congruence, "sweep the ratio congruence")
     p.add_argument("--spec", required=True)

@@ -27,7 +27,9 @@ new to a level against that level's opposite bounds and checking only the
 new constraints left without a variable. The levels equal those of the
 child's system eliminated from scratch, so internal nodes do no rational
 arithmetic; a leaf takes its witness by back-substitution through its own
-levels, with midpoints between the tightest bounds. All arithmetic is exact.
+levels, with midpoints between the tightest bounds. The back-substitution
+also runs in integers, over one common denominator, and builds Fractions only
+for the witness coordinates. All arithmetic is exact.
 The search reports its nodes and generated constraints, and its budget caps
 their sum.
 """
@@ -64,7 +66,7 @@ class RationalPoint:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self):
-        norm = tuple(Fraction(c) for c in self.coords)
+        norm = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coords)
         if any(c < 0 or c >= 1 for c in norm):
             raise ValueError(f"coordinates {norm} must lie in [0, 1)")
         object.__setattr__(self, "coords", norm)
@@ -302,22 +304,33 @@ class _Elimination:
 
         Each x_{d-1} is the midpoint of the tightest lower and upper bound on
         it given the coordinates before it; the box bounds make both exist.
-        The coordinates are kept as integers over one common denominator.
+        The back-substitution runs in integers: the coordinates are kept as
+        numerators over one common denominator, a bound as a pair (n, c)
+        standing for n / (c den) with c > 0, and only the output coordinates
+        are built as Fractions.
         """
         nums: list[int] = []
         den = 1
         for var, (_, lowers, uppers) in enumerate(self.levels[1:]):
             # coeffs . x <= rhs is tight at x_var = (rhs den - rest) / (coeffs[var] den)
-            def tight(con: Constraint) -> Fraction:
-                coeffs, rhs, _ = con
-                rest = sum(map(operator.mul, coeffs, nums))
-                return Fraction(rhs * den - rest, coeffs[var] * den)
-
-            mid = (max(map(tight, lowers)) + min(map(tight, uppers))) / 2
-            scale = mid.denominator // math.gcd(den, mid.denominator)
+            lo_n, lo_c = None, 1
+            for coeffs, rhs, _ in lowers:
+                n, c = sum(map(operator.mul, coeffs, nums)) - rhs * den, -coeffs[var]
+                if lo_n is None or n * lo_c > lo_n * c:
+                    lo_n, lo_c = n, c
+            up_n, up_c = None, 1
+            for coeffs, rhs, _ in uppers:
+                n, c = rhs * den - sum(map(operator.mul, coeffs, nums)), coeffs[var]
+                if up_n is None or n * up_c < up_n * c:
+                    up_n, up_c = n, c
+            # the midpoint (lo + up) / 2 in lowest terms, mid_n / mid_d
+            mid_n, mid_d = lo_n * up_c + up_n * lo_c, 2 * lo_c * up_c * den
+            g = math.gcd(mid_n, mid_d)
+            mid_n, mid_d = mid_n // g, mid_d // g
+            scale = mid_d // math.gcd(den, mid_d)
             nums = [n * scale for n in nums]
             den *= scale
-            nums.append(mid.numerator * (den // mid.denominator))
+            nums.append(mid_n * (den // mid_d))
         return tuple(Fraction(n, den) for n in nums)
 
 
@@ -349,8 +362,11 @@ def enumerate_cells(
     its parent's elimination levels by its two slab constraints, and a leaf
     takes its witness from its own levels. The budget bounds the search nodes
     explored plus the constraints they add to the levels, and raises
-    DimensionTooLarge when exceeded. Both are tallied in counts, if given.
+    DimensionTooLarge when exceeded; a budget below 1 is a ValueError. Both
+    are tallied in counts, if given.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     vectors = sorted(spec.distinct_nonzero_vectors(), key=lambda t: (-sum(t), t))
     elim = _Elimination(spec.dim, budget, counts if counts is not None else SearchCounts())
     results: list[CellSignature] = []

@@ -238,6 +238,12 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and "budget" in err
 
+    @pytest.mark.parametrize("budget", ["-1", "0", "abc"])
+    def test_landau_budget_below_one(self, capsys, budget):
+        code, out, err = run(capsys, ["check-landau", "--spec", "apery", "--budget", budget])
+        assert (code, out) == (2, "")
+        assert f"argument --budget: expected a positive integer, got '{budget}'" in err
+
     @pytest.mark.parametrize("command", [
         ["verify-congruence", "--spec", "central", "--b-max", "3", "--n-box", "2"],
         ["verify-plucas", "--spec", "central", "--p-max", "3", "--n-box", "2"],

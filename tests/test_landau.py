@@ -238,6 +238,13 @@ class TestEnumerateCells:
         assert exc.value.budget == 3
         assert "budget of 3 nodes and constraints" in str(exc.value)
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            enumerate_cells(APERY, budget=budget)
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            check_landau(APERY, budget=budget)
+
     def test_budget_charges_constraints(self):
         # apery explores 18 nodes that generate 61 constraints: a budget on
         # nodes alone would pass well below their sum of 79.
@@ -274,6 +281,8 @@ class TestEnumerateCells:
         assert [c.floors for c in cells] == [c.floors for c in expected]
         assert [c.witness for c in cells] == [c.witness for c in expected]
         assert counts.nodes == nodes
+        for c in cells:
+            assert signature_at(spec, c.witness) == c.floors_dict(), c
 
 
 class TestCheckLandau:
