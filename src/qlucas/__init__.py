@@ -13,7 +13,6 @@ from .congruence import (
     CongruenceReport,
     HypothesisViolated,
     apery_polynomial,
-    congruent_mod_cyclotomic,
     verify_apery,
     verify_inter2_identity,
     verify_plucas_at_one,
@@ -47,8 +46,6 @@ from .qcombinatorics import (
     RatioSpec,
     iter_box,
     q_binomial,
-    q_factorial,
-    q_integer,
     q_ratio,
     q_ratio_at_one,
     q_ratio_box,
@@ -103,7 +100,6 @@ __all__ = [
     "build_F",
     "catalog",
     "check_landau",
-    "congruent_mod_cyclotomic",
     "cyclotomic",
     "delta_at",
     "enumerate_cells",
@@ -113,8 +109,6 @@ __all__ = [
     "iter_box",
     "monomial",
     "q_binomial",
-    "q_factorial",
-    "q_integer",
     "q_ratio",
     "q_ratio_at_one",
     "q_ratio_box",

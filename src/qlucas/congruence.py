@@ -94,11 +94,6 @@ class CongruenceReport:
         }
 
 
-def congruent_mod_cyclotomic(a: IntPolynomial, b: IntPolynomial, m: int) -> bool:
-    """Whether a == b modulo the m-th cyclotomic polynomial."""
-    return reduce_mod_cyclotomic(a - b, m).is_zero()
-
-
 # -- shared helpers ----------------------------------------------------------------
 
 

@@ -16,9 +16,12 @@ reduce_mod_cyclotomic. The two stride loops, the fold (stride b) and the
 running sums of the division (stride k), take whichever of two forms loops
 fewer times in Python over n coefficients: one pass per residue class when
 stride * stride <= n, else one pass per block of stride coefficients.
-The schoolbook product and rem_monic keep per-coefficient loops: their rows
-are short on the sweep path, where moving them to ``map`` made the sweep
-benchmark's wall time about a third worse (0.33 s to 0.44 s).
+The schoolbook product and the reduction loop keep per-coefficient loops:
+their rows are short on the sweep path, where moving them to ``map`` made the
+sweep benchmark's wall time about a third worse (0.33 s to 0.44 s). The
+reduction loop is one list-level helper, _rem_monic_coeffs, shared by
+rem_monic and by the residue products of qcombinatorics, which multiply and
+reduce plain coefficient tuples without building an IntPolynomial per step.
 """
 
 from __future__ import annotations
@@ -235,20 +238,32 @@ def _mul_schoolbook(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
 # -- division -----------------------------------------------------------------
 
 
-def rem_monic(a: IntPolynomial, modulus: IntPolynomial) -> IntPolynomial:
-    """Canonical remainder of a modulo a monic polynomial of degree >= 1."""
-    m = modulus.coeffs
-    if len(m) < 2 or m[-1] != 1:
-        raise NotMonic(f"modulus must be monic of degree >= 1, got {modulus}")
+def _rem_monic_coeffs(rem: list[int], m: tuple[int, ...]) -> list[int]:
+    """Reduce the coefficient list rem in place modulo the monic coefficients m.
+
+    m must be monic of degree >= 1 (unchecked). Returns rem cut to the
+    canonical remainder: below the degree of m, no trailing zeros.
+    """
     dm = len(m) - 1
-    rem = list(a.coeffs)
     for i in range(len(rem) - 1, dm - 1, -1):
         c = rem[i]
         if c:
             base = i - dm
             for j in range(dm):
                 rem[base + j] -= c * m[j]
-    return IntPolynomial(rem[:dm])
+    n = min(len(rem), dm)
+    while n and rem[n - 1] == 0:
+        n -= 1
+    del rem[n:]
+    return rem
+
+
+def rem_monic(a: IntPolynomial, modulus: IntPolynomial) -> IntPolynomial:
+    """Canonical remainder of a modulo a monic polynomial of degree >= 1."""
+    m = modulus.coeffs
+    if len(m) < 2 or m[-1] != 1:
+        raise NotMonic(f"modulus must be monic of degree >= 1, got {modulus}")
+    return IntPolynomial._raw(tuple(_rem_monic_coeffs(list(a.coeffs), m)))
 
 
 # -- binomial factors (1 - q^k) ----------------------------------------------

@@ -1,4 +1,4 @@
-"""q-integers, q-factorials, q-binomials, and multidimensional factorial ratios.
+"""q-binomials and multidimensional q-factorial ratios.
 
 A RatioSpec holds two tuples of nonnegative integer vectors (e for numerator
 factorials, f for denominator factorials) over d counting variables. For a
@@ -14,7 +14,9 @@ and the test suite holds them to that.
 The cyclotomic exponent vector {c: delta(n/c)} of a point decides whether the
 ratio is a polynomial and gives its residue modulo any cyclotomic(b) as a
 product of residue powers; q_ratio_mod takes that route alone and never
-builds the full polynomial.
+builds the full polynomial. It pools the factors cyclotomic(c) that leave
+the same residue and multiplies the pooled powers on plain coefficient
+tuples, memoized in one bounded cache.
 
 Internally every q-factorial is a multiset of binomial factors (1 - q^k)
 together with a power of (1 - q): [m]_q! = prod_{k<=m} (1 - q^k) * (1-q)^(-m).
@@ -43,6 +45,8 @@ from .intpoly import (
     ZERO,
     IntPolynomial,
     NotDivisible,
+    _mul_schoolbook,
+    _rem_monic_coeffs,
     cyclotomic,
     div_one_minus_qk_exact,
     mul_one_minus_qk,
@@ -147,23 +151,6 @@ def _check_point(spec: RatioSpec, n: Sequence[int]) -> Vector:
 
 
 # -- one-dimensional building blocks ------------------------------------------
-
-
-def q_integer(n: int) -> IntPolynomial:
-    """[n]_q = 1 + q + ... + q^(n-1); zero for n = 0."""
-    if n < 0:
-        raise ValueError("q_integer needs n >= 0")
-    return IntPolynomial((1,) * n)
-
-
-def q_factorial(n: int) -> IntPolynomial:
-    """[n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1."""
-    if n < 0:
-        raise ValueError("q_factorial needs n >= 0")
-    out = ONE
-    for k in range(2, n + 1):
-        out = out * q_integer(k)
-    return out
 
 
 def q_binomial(n: int, k: int) -> IntPolynomial:
@@ -298,41 +285,66 @@ def q_ratio_mod(spec: RatioSpec, n: Sequence[int], b: int) -> IntPolynomial:
 
 
 def exponent_residue(exponents: Mapping[int, int], b: int) -> IntPolynomial:
-    """Residue modulo cyclotomic(b) of prod_c cyclotomic(c)^exponents[c], all c >= 2."""
+    """Residue modulo cyclotomic(b) of prod_c cyclotomic(c)^exponents[c], c >= 2, exponents >= 1.
+
+    Factors c with the same base residue cyclotomic(c) mod cyclotomic(b) are
+    pooled, their exponents added (Z[q]/cyclotomic(b) is commutative), and
+    base residues equal to 1 drop out. The pooled powers are multiplied and
+    reduced on plain coefficient tuples; one IntPolynomial is built at the
+    end. Only b in exponents gives zero: Z[q]/cyclotomic(b) has no zero
+    divisors.
+    """
     if b in exponents:
         return ZERO
-    acc = ONE
+    phi = cyclotomic(b).coeffs
+    pooled: dict[tuple[int, ...], int] = {}
     for c, ex in exponents.items():
-        power = _residue_power(c, ex, b)
-        if power != ONE:
-            acc = reduce_mod_cyclotomic(acc * power, b)
-    return acc
+        base = _residue_power_cache.get((c, b))
+        if base is None:
+            base = _cache_put((c, b), reduce_mod_cyclotomic(cyclotomic(c), b).coeffs)
+        if base != (1,):
+            pooled[base] = pooled.get(base, 0) + ex
+    acc = None
+    for base, ex in pooled.items():
+        power = _residue_power(base, ex, b, phi)
+        acc = power if acc is None else _rem_monic_coeffs(_mul_schoolbook(acc, power), phi)
+    return ONE if acc is None else IntPolynomial._raw(tuple(acc))
 
 
-# Memo of _residue_power, shared by all sweeps of a process; a miss empties it once it
-# holds _RESIDUE_POWER_CACHE_MAX entries, far above one sweep's few thousand.
-_residue_power_cache: dict[tuple[int, int, int], IntPolynomial] = {}
+# Memo of the residue route, shared by all sweeps of a process, with
+# coefficient tuples as values: base residues cyclotomic(c) mod cyclotomic(b)
+# keyed (c, b), and pooled powers base^ex mod cyclotomic(b) keyed
+# (base, ex, b). An insert into a cache holding _RESIDUE_POWER_CACHE_MAX
+# entries empties it first; that is far above one sweep's few thousand.
+_residue_power_cache: dict[tuple, tuple[int, ...]] = {}
 _RESIDUE_POWER_CACHE_MAX = 2**16
 
 
-def _residue_power(c: int, ex: int, b: int) -> IntPolynomial:
-    key = (c, ex, b)
+def _cache_put(key: tuple, value: tuple[int, ...]) -> tuple[int, ...]:
+    if len(_residue_power_cache) >= _RESIDUE_POWER_CACHE_MAX:
+        _residue_power_cache.clear()
+    _residue_power_cache[key] = value
+    return value
+
+
+def _residue_power(base: tuple[int, ...], ex: int, b: int, phi: tuple[int, ...]) -> tuple[int, ...]:
+    """base^ex modulo the monic phi = cyclotomic(b) for ex >= 1, by repeated squaring."""
+    if ex == 1:
+        return base
+    key = (base, ex, b)
     hit = _residue_power_cache.get(key)
     if hit is not None:
         return hit
-    base = reduce_mod_cyclotomic(cyclotomic(c), b)
-    acc = ONE
+    acc = None
+    sq = base
     e = ex
-    while e:
+    while True:
         if e & 1:
-            acc = reduce_mod_cyclotomic(acc * base, b)
+            acc = sq if acc is None else _rem_monic_coeffs(_mul_schoolbook(acc, sq), phi)
         e >>= 1
-        if e:
-            base = reduce_mod_cyclotomic(base * base, b)
-    if len(_residue_power_cache) >= _RESIDUE_POWER_CACHE_MAX:
-        _residue_power_cache.clear()
-    _residue_power_cache[key] = acc
-    return acc
+        if not e:
+            return _cache_put(key, tuple(acc))
+        sq = _rem_monic_coeffs(_mul_schoolbook(sq, sq), phi)
 
 
 # -- box evaluation -------------------------------------------------------------

@@ -2,7 +2,48 @@
 
 from functools import lru_cache
 
-from qlucas.intpoly import ZERO, IntPolynomial, NotDivisible, cyclotomic, monomial, rem_monic
+from qlucas.intpoly import (
+    ONE,
+    ZERO,
+    IntPolynomial,
+    NotDivisible,
+    cyclotomic,
+    monomial,
+    reduce_mod_cyclotomic,
+    rem_monic,
+)
+
+
+def q_integer(n: int) -> IntPolynomial:
+    """[n]_q = 1 + q + ... + q^(n-1); zero for n = 0."""
+    if n < 0:
+        raise ValueError("q_integer needs n >= 0")
+    return IntPolynomial((1,) * n)
+
+
+def q_factorial(n: int) -> IntPolynomial:
+    """[n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1."""
+    if n < 0:
+        raise ValueError("q_factorial needs n >= 0")
+    out = ONE
+    for k in range(2, n + 1):
+        out = out * q_integer(k)
+    return out
+
+
+def congruent_mod_cyclotomic(a: IntPolynomial, b: IntPolynomial, m: int) -> bool:
+    """Whether a == b modulo the m-th cyclotomic polynomial."""
+    return reduce_mod_cyclotomic(a - b, m).is_zero()
+
+
+def exponent_residue_unpooled(exponents: dict[int, int], b: int) -> IntPolynomial:
+    """Residue modulo cyclotomic(b) of prod_c cyclotomic(c)^exponents[c]: each
+    cyclotomic(c) ** ex built in full and reduced, then the residues multiplied
+    one by one, with no pooling and no memo."""
+    acc = ONE
+    for c, ex in exponents.items():
+        acc = reduce_mod_cyclotomic(acc * reduce_mod_cyclotomic(cyclotomic(c) ** ex, b), b)
+    return acc
 
 
 def divide_monic(a: IntPolynomial, m: IntPolynomial) -> IntPolynomial:

@@ -9,7 +9,6 @@ from qlucas.congruence import (
     CongruenceFailure,
     HypothesisViolated,
     apery_polynomial,
-    congruent_mod_cyclotomic,
     verify_apery,
     verify_inter2_identity,
     verify_plucas_at_one,
@@ -18,6 +17,7 @@ from qlucas.congruence import (
 from qlucas.intpoly import IntPolynomial, cyclotomic, reduce_mod_cyclotomic
 from qlucas.landau import check_landau
 from qlucas.qcombinatorics import RatioSpec, iter_box, q_binomial, q_ratio, q_ratio_mod
+from oracles import congruent_mod_cyclotomic
 from strategies import balanced_specs
 
 P = IntPolynomial

@@ -14,6 +14,7 @@ from qlucas.intpoly import (
     NotDivisible,
     NotMonic,
     _mul_schoolbook,
+    _rem_monic_coeffs,
     cyclotomic,
     div_one_minus_qk_exact,
     monomial,
@@ -362,6 +363,27 @@ class TestReduceModCyclotomic:
     def test_b_equals_one_is_evaluation(self):
         a = P((1, 2, 3, 4))
         assert reduce_mod_cyclotomic(a, 1) == P((10,))
+
+
+class TestResidueProduct:
+    # The residue route multiplies reduced residues as plain lists:
+    # _mul_schoolbook, then the reduction loop of rem_monic.
+    @given(st.integers(1, 40), st.data())
+    def test_matches_reduced_product(self, b, data):
+        phi = cyclotomic(b).coeffs
+        residue = st.integers(0, len(phi) - 1).flatmap(canonical_coeffs)
+        a, c = data.draw(residue), data.draw(residue)
+        product = _rem_monic_coeffs(_mul_schoolbook(a, c), phi)
+        assert tuple(product) == reduce_mod_cyclotomic(P(a) * P(c), b).coeffs
+
+    def test_canonical_remainder(self):
+        # q^2 + q + 1 leaves nothing mod itself; q^3 leaves 1; lists shorter
+        # than the modulus only lose their trailing zeros.
+        phi3 = cyclotomic(3).coeffs
+        assert _rem_monic_coeffs([1, 1, 1], phi3) == []
+        assert _rem_monic_coeffs([0, 0, 0, 1], phi3) == [1]
+        assert _rem_monic_coeffs([5, 0], phi3) == [5]
+        assert _rem_monic_coeffs([], phi3) == []
 
 
 class TestSerialization:

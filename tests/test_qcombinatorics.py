@@ -1,6 +1,9 @@
 """qcombinatorics tests: frozen small values, dual-route agreement, properties."""
 
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
@@ -15,8 +18,6 @@ from qlucas.qcombinatorics import (
     cyclotomic_exponents,
     exponent_residue,
     q_binomial,
-    q_factorial,
-    q_integer,
     q_ratio,
     q_ratio_at_one,
     q_ratio_box,
@@ -24,7 +25,7 @@ from qlucas.qcombinatorics import (
     q_ratio_mod,
     ratio_degree,
 )
-from oracles import divide_monic
+from oracles import divide_monic, exponent_residue_unpooled, q_factorial, q_integer
 from strategies import balanced_specs
 
 P = IntPolynomial
@@ -284,6 +285,52 @@ class TestResiduePowerCache:
             assert len(cache) == bound
         finally:
             cache.clear()
+
+
+class TestPooledResidue:
+    def test_shared_base_residue_is_pooled(self):
+        # At (3, 3) the Apery exponents are {2: 2, 4: 3, 5: 2, 6: 2, 7: 1, 8: 1, 9: 1}.
+        # Modulo cyclotomic(3), c = 2, 5 and 8 all leave 1 + q, so one power
+        # (1 + q)^5 stands for their three factors.
+        exponents = cyclotomic_exponents(APERY, (3, 3))
+        assert {c: exponents[c] for c in (2, 5, 8)} == {2: 2, 5: 2, 8: 1}
+        for c in (2, 5, 8):
+            assert reduce_mod_cyclotomic(cyclotomic(c), 3) == P((1, 1))
+        cache = qcombinatorics._residue_power_cache
+        try:
+            cache.clear()
+            residue = exponent_residue(exponents, 3)
+            assert ((1, 1), 5, 3) in cache
+            assert not any(k[0] == (1, 1) and k[1] != 5 for k in cache if len(k) == 3)
+        finally:
+            cache.clear()
+        assert residue == exponent_residue_unpooled(exponents, 3)
+        assert residue == reduce_mod_cyclotomic(q_ratio(APERY, (3, 3)), 3)
+
+    @given(balanced_specs(), st.lists(st.integers(0, 6), min_size=2, max_size=2), st.integers(1, 30))
+    def test_matches_unpooled_oracle(self, spec, coords, b):
+        try:
+            exponents = cyclotomic_exponents(spec, coords[: spec.dim])
+        except NegativeExponent:
+            assume(False)
+        assert exponent_residue(exponents, b) == exponent_residue_unpooled(exponents, b)
+
+
+class TestBenchClearCaches:
+    def test_empties_residue_power_cache(self, monkeypatch):
+        # bench/run.py starts every pass with clear_caches(); it must find the
+        # memo of the residue route by name and empty all of it.
+        path = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        module_spec = importlib.util.spec_from_file_location("bench_run", path)
+        bench_run = importlib.util.module_from_spec(module_spec)
+        module_spec.loader.exec_module(bench_run)
+        cache = qcombinatorics._residue_power_cache
+        for b in range(2, 9):
+            q_ratio_mod(APERY, (3, 3), b)
+        assert any(len(k) == 2 for k in cache) and any(len(k) == 3 for k in cache)
+        bench_run.clear_caches()
+        assert cache == {}
 
 
 class TestRouteProperties:
