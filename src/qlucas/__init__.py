@@ -21,11 +21,9 @@ from .congruence import (
 from .intpoly import (
     IntPolynomial,
     NotDivisible,
-    NotMonic,
     cyclotomic,
     monomial,
     reduce_mod_cyclotomic,
-    rem_monic,
 )
 from .landau import (
     DEFAULT_BUDGET,
@@ -88,7 +86,6 @@ __all__ = [
     "LdReport",
     "NegativeExponent",
     "NotDivisible",
-    "NotMonic",
     "NotPrime",
     "OrderTooSmall",
     "RatioSpec",
@@ -116,7 +113,6 @@ __all__ = [
     "q_ratio_mod",
     "ratio_degree",
     "reduce_mod_cyclotomic",
-    "rem_monic",
     "signature_at",
     "specialize",
     "verify_apery",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 from .qcombinatorics import RatioSpec, q_binomial
 

@@ -101,7 +101,7 @@ def _load_spec(source: str) -> RatioSpec:
 def _load_sequence(source: str, order: int, qval: Fraction) -> list:
     if _is_file(source):
         raw = _read_json(source)
-        if not isinstance(raw, list):
+        if not isinstance(raw, list) or any(isinstance(v, bool) for v in raw):
             raise ValueError(f"{source}: expected a JSON list of numbers")
         return [v if isinstance(v, int) else Fraction(str(v)) for v in raw]
     return catalog.builtin_sequence(source, order, qval)

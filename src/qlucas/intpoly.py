@@ -4,24 +4,27 @@ Polynomials are dense ascending coefficient tuples in canonical form: no
 trailing zeros, the zero polynomial is the empty tuple. Every operation is
 exact over the integers; division by 1 - q^k raises instead of truncating
 or drifting into floats, and the only other division is the remainder
-modulo a monic polynomial. Multiplication is one schoolbook kernel: the
+modulo a cyclotomic polynomial. Multiplication is one schoolbook kernel: the
 products on the sweep and series paths are small, mostly residues modulo a
 cyclotomic polynomial, and at those sizes it beats packing into big
 integers. Cyclotomic polynomials are Moebius products of 1 - q^d factors.
 
+All reduction modulo cyclotomic(b) is one list-level helper,
+_reduce_cyclotomic: it folds an input longer than b by exponent mod b, then
+runs the monic long-division loop on what is left. reduce_mod_cyclotomic
+wraps it for polynomials, and the residue products of qcombinatorics call it
+on plain coefficient tuples without building an IntPolynomial per step.
+
 The linear kernels loop over whole slices, so the per-coefficient work runs
 in C (``map``, ``itertools.accumulate``, ``sum``): addition, multiplication
-by 1 - q^k, exact division by 1 - q^k, and the fold by exponent mod b in
-reduce_mod_cyclotomic. The two stride loops, the fold (stride b) and the
-running sums of the division (stride k), take whichever of two forms loops
-fewer times in Python over n coefficients: one pass per residue class when
-stride * stride <= n, else one pass per block of stride coefficients.
-The schoolbook product and the reduction loop keep per-coefficient loops:
-their rows are short on the sweep path, where moving them to ``map`` made the
-sweep benchmark's wall time about a third worse (0.33 s to 0.44 s). The
-reduction loop is one list-level helper, _rem_monic_coeffs, shared by
-rem_monic and by the residue products of qcombinatorics, which multiply and
-reduce plain coefficient tuples without building an IntPolynomial per step.
+by 1 - q^k, exact division by 1 - q^k, and the fold by exponent mod b. The
+two stride loops, the fold (stride b) and the running sums of the division
+(stride k), take whichever of two forms loops fewer times in Python over n
+coefficients: one pass per residue class when stride * stride <= n, else
+one pass per block of stride coefficients. The schoolbook product and the
+division loop of _reduce_cyclotomic keep per-coefficient loops: their rows
+are short on the sweep path, where moving them to ``map`` made the sweep
+benchmark's wall time about a third worse (0.33 s to 0.44 s).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import add, sub
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -44,10 +47,6 @@ class NotDivisible(ArithmeticError):
     def __init__(self, remainder: "IntPolynomial", message: str = "not divisible"):
         super().__init__(message)
         self.remainder = remainder
-
-
-class NotMonic(ValueError):
-    """rem_monic requires a monic modulus of degree >= 1."""
 
 
 class IntPolynomial:
@@ -235,37 +234,6 @@ def _mul_schoolbook(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     return out
 
 
-# -- division -----------------------------------------------------------------
-
-
-def _rem_monic_coeffs(rem: list[int], m: tuple[int, ...]) -> list[int]:
-    """Reduce the coefficient list rem in place modulo the monic coefficients m.
-
-    m must be monic of degree >= 1 (unchecked). Returns rem cut to the
-    canonical remainder: below the degree of m, no trailing zeros.
-    """
-    dm = len(m) - 1
-    for i in range(len(rem) - 1, dm - 1, -1):
-        c = rem[i]
-        if c:
-            base = i - dm
-            for j in range(dm):
-                rem[base + j] -= c * m[j]
-    n = min(len(rem), dm)
-    while n and rem[n - 1] == 0:
-        n -= 1
-    del rem[n:]
-    return rem
-
-
-def rem_monic(a: IntPolynomial, modulus: IntPolynomial) -> IntPolynomial:
-    """Canonical remainder of a modulo a monic polynomial of degree >= 1."""
-    m = modulus.coeffs
-    if len(m) < 2 or m[-1] != 1:
-        raise NotMonic(f"modulus must be monic of degree >= 1, got {modulus}")
-    return IntPolynomial._raw(tuple(_rem_monic_coeffs(list(a.coeffs), m)))
-
-
 # -- binomial factors (1 - q^k) ----------------------------------------------
 
 
@@ -348,27 +316,43 @@ def cyclotomic(b: int) -> IntPolynomial:
     return poly
 
 
-def reduce_mod_cyclotomic(a: IntPolynomial, b: int) -> IntPolynomial:
-    """Canonical remainder of a modulo cyclotomic(b).
+def _reduce_cyclotomic(c: Sequence[int], b: int) -> list[int]:
+    """Canonical remainder of the coefficients c modulo cyclotomic(b), as a list.
 
-    High-degree inputs are first folded by exponent mod b, valid because
+    Inputs longer than b are first folded by exponent mod b, valid because
     q**b == 1 modulo q**b - 1 and cyclotomic(b) divides q**b - 1; the
-    canonical remainder is unchanged.
+    canonical remainder is unchanged. The fold reads c in place, so only an
+    unfolded input is copied. Then the monic long-division loop runs on the
+    list, and the result is cut below the degree of cyclotomic(b), with no
+    trailing zeros.
     """
-    phi = cyclotomic(b)
-    dphi = len(phi.coeffs) - 1
-    c = a.coeffs
+    m = cyclotomic(b).coeffs
     n = len(c)
-    if n <= dphi:
-        return a
     if n > b:
         if n >= b * b:
-            buckets = [sum(c[r::b]) for r in range(b)]
+            rem = [sum(c[r::b]) for r in range(b)]
         else:
-            buckets = list(c[:b])
+            rem = list(c[:b])
             for j in range(b, n, b):
-                buckets[: n - j] = map(add, buckets, c[j : j + b])
-        a = IntPolynomial(buckets)
-        if len(a.coeffs) <= dphi:
-            return a
-    return rem_monic(a, phi)
+                rem[: n - j] = map(add, rem, c[j : j + b])
+    else:
+        rem = list(c)
+    dm = len(m) - 1
+    for i in range(len(rem) - 1, dm - 1, -1):
+        x = rem[i]
+        if x:
+            base = i - dm
+            for j in range(dm):
+                rem[base + j] -= x * m[j]
+    n = min(len(rem), dm)
+    while n and rem[n - 1] == 0:
+        n -= 1
+    del rem[n:]
+    return rem
+
+
+def reduce_mod_cyclotomic(a: IntPolynomial, b: int) -> IntPolynomial:
+    """Canonical remainder of a modulo cyclotomic(b)."""
+    if len(a.coeffs) < len(cyclotomic(b).coeffs):
+        return a
+    return IntPolynomial._raw(tuple(_reduce_cyclotomic(a.coeffs, b)))

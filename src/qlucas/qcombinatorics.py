@@ -16,7 +16,9 @@ ratio is a polynomial and gives its residue modulo any cyclotomic(b) as a
 product of residue powers; q_ratio_mod takes that route alone and never
 builds the full polynomial. It pools the factors cyclotomic(c) that leave
 the same residue and multiplies the pooled powers on plain coefficient
-tuples, memoized in one bounded cache.
+tuples, memoized in one bounded cache. Base residues, squarings and
+products are all reduced by intpoly's one helper, which folds by q^b = 1
+before the division loop.
 
 Internally every q-factorial is a multiset of binomial factors (1 - q^k)
 together with a power of (1 - q): [m]_q! = prod_{k<=m} (1 - q^k) * (1-q)^(-m).
@@ -38,7 +40,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .intpoly import (
     ONE,
@@ -46,11 +48,10 @@ from .intpoly import (
     IntPolynomial,
     NotDivisible,
     _mul_schoolbook,
-    _rem_monic_coeffs,
+    _reduce_cyclotomic,
     cyclotomic,
     div_one_minus_qk_exact,
     mul_one_minus_qk,
-    reduce_mod_cyclotomic,
 )
 
 class NegativeExponent(ArithmeticError):
@@ -68,6 +69,11 @@ class NegativeExponent(ArithmeticError):
 Vector = tuple[int, ...]
 
 
+def _is_int(x: object) -> bool:
+    """x is an int and not a bool, so JSON true and false are not counts."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class RatioSpec:
     """Numerator/denominator factorial vectors over dim counting variables."""
@@ -77,7 +83,7 @@ class RatioSpec:
     f: tuple[Vector, ...]
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if not _is_int(self.dim) or self.dim < 1:
             raise ValueError("dim must be a positive integer")
         for name in ("e", "f"):
             vecs = getattr(self, name)
@@ -85,7 +91,7 @@ class RatioSpec:
             for v in norm:
                 if len(v) != self.dim:
                     raise ValueError(f"{name} vector {v} has length != dim={self.dim}")
-                if any((not isinstance(c, int)) or c < 0 for c in v):
+                if any(not _is_int(c) or c < 0 for c in v):
                     raise ValueError(f"{name} vector {v} must have nonnegative integer entries")
             object.__setattr__(self, name, norm)
 
@@ -296,18 +302,17 @@ def exponent_residue(exponents: Mapping[int, int], b: int) -> IntPolynomial:
     """
     if b in exponents:
         return ZERO
-    phi = cyclotomic(b).coeffs
     pooled: dict[tuple[int, ...], int] = {}
     for c, ex in exponents.items():
         base = _residue_power_cache.get((c, b))
         if base is None:
-            base = _cache_put((c, b), reduce_mod_cyclotomic(cyclotomic(c), b).coeffs)
+            base = _cache_put((c, b), tuple(_reduce_cyclotomic(cyclotomic(c).coeffs, b)))
         if base != (1,):
             pooled[base] = pooled.get(base, 0) + ex
     acc = None
     for base, ex in pooled.items():
-        power = _residue_power(base, ex, b, phi)
-        acc = power if acc is None else _rem_monic_coeffs(_mul_schoolbook(acc, power), phi)
+        power = _residue_power(base, ex, b)
+        acc = power if acc is None else _reduce_cyclotomic(_mul_schoolbook(acc, power), b)
     return ONE if acc is None else IntPolynomial._raw(tuple(acc))
 
 
@@ -327,8 +332,8 @@ def _cache_put(key: tuple, value: tuple[int, ...]) -> tuple[int, ...]:
     return value
 
 
-def _residue_power(base: tuple[int, ...], ex: int, b: int, phi: tuple[int, ...]) -> tuple[int, ...]:
-    """base^ex modulo the monic phi = cyclotomic(b) for ex >= 1, by repeated squaring."""
+def _residue_power(base: tuple[int, ...], ex: int, b: int) -> tuple[int, ...]:
+    """base^ex modulo cyclotomic(b) for ex >= 1, by repeated squaring."""
     if ex == 1:
         return base
     key = (base, ex, b)
@@ -340,11 +345,11 @@ def _residue_power(base: tuple[int, ...], ex: int, b: int, phi: tuple[int, ...])
     e = ex
     while True:
         if e & 1:
-            acc = sq if acc is None else _rem_monic_coeffs(_mul_schoolbook(acc, sq), phi)
+            acc = sq if acc is None else _reduce_cyclotomic(_mul_schoolbook(acc, sq), b)
         e >>= 1
         if not e:
             return _cache_put(key, tuple(acc))
-        sq = _rem_monic_coeffs(_mul_schoolbook(sq, sq), phi)
+        sq = _reduce_cyclotomic(_mul_schoolbook(sq, sq), b)
 
 
 # -- box evaluation -------------------------------------------------------------

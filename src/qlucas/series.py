@@ -22,7 +22,7 @@ Q, whose base residues are the cofactor A.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .congruence import (
     CongruenceFailure,
@@ -34,7 +34,7 @@ from .congruence import (
 )
 from .intpoly import IntPolynomial
 from .landau import check_landau
-from .qcombinatorics import RatioSpec, dot, iter_box, q_ratio_box
+from .qcombinatorics import RatioSpec, _is_int, dot, iter_box, q_ratio_box
 
 Vector = tuple[int, ...]
 
@@ -56,15 +56,15 @@ class TruncatedSeries:
     coeffs: dict[Vector, IntPolynomial]
 
     def __post_init__(self):
-        if not isinstance(self.num_vars, int) or self.num_vars < 1:
+        if not _is_int(self.num_vars) or self.num_vars < 1:
             raise ValueError("num_vars must be a positive integer")
         cap = tuple(self.cap)
-        if len(cap) != self.num_vars or any((not isinstance(c, int)) or c < 0 for c in cap):
+        if len(cap) != self.num_vars or any(not _is_int(c) or c < 0 for c in cap):
             raise ValueError(f"cap {cap} must be nonnegative integers of length {self.num_vars}")
         clean: dict[Vector, IntPolynomial] = {}
         for n, c in self.coeffs.items():
             n = tuple(n)
-            if len(n) != self.num_vars or any((not isinstance(i, int)) or i < 0 for i in n):
+            if len(n) != self.num_vars or any(not _is_int(i) or i < 0 for i in n):
                 raise ValueError(f"exponent {n} must be nonnegative integers of length {self.num_vars}")
             if any(ni > capi for ni, capi in zip(n, cap)):
                 raise ValueError(f"exponent {n} exceeds cap {cap}")

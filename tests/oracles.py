@@ -10,7 +10,6 @@ from qlucas.intpoly import (
     cyclotomic,
     monomial,
     reduce_mod_cyclotomic,
-    rem_monic,
 )
 
 
@@ -36,18 +35,8 @@ def congruent_mod_cyclotomic(a: IntPolynomial, b: IntPolynomial, m: int) -> bool
     return reduce_mod_cyclotomic(a - b, m).is_zero()
 
 
-def exponent_residue_unpooled(exponents: dict[int, int], b: int) -> IntPolynomial:
-    """Residue modulo cyclotomic(b) of prod_c cyclotomic(c)^exponents[c]: each
-    cyclotomic(c) ** ex built in full and reduced, then the residues multiplied
-    one by one, with no pooling and no memo."""
-    acc = ONE
-    for c, ex in exponents.items():
-        acc = reduce_mod_cyclotomic(acc * reduce_mod_cyclotomic(cyclotomic(c) ** ex, b), b)
-    return acc
-
-
-def divide_monic(a: IntPolynomial, m: IntPolynomial) -> IntPolynomial:
-    """a / m by schoolbook long division for a monic m; asserts it is exact."""
+def long_division(a: IntPolynomial, m: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
+    """(quotient, remainder) of a by a monic m, by schoolbook long division."""
     assert m.is_monic(), m
     dm = len(m.coeffs) - 1
     rem = list(a.coeffs)
@@ -56,8 +45,30 @@ def divide_monic(a: IntPolynomial, m: IntPolynomial) -> IntPolynomial:
         c = quo[i - dm] = rem[i]
         for j, mj in enumerate(m.coeffs):
             rem[i - dm + j] -= c * mj
-    assert not any(rem), f"{a} is not divisible by {m}"
-    return IntPolynomial(quo)
+    return IntPolynomial(quo), IntPolynomial(rem)
+
+
+def divide_monic(a: IntPolynomial, m: IntPolynomial) -> IntPolynomial:
+    """a / m for a monic m; asserts it is exact."""
+    quo, rem = long_division(a, m)
+    assert not rem, f"{a} is not divisible by {m}"
+    return quo
+
+
+def rem_monic(a: IntPolynomial, m: IntPolynomial) -> IntPolynomial:
+    """Canonical remainder of a modulo a monic m, with no fold by q^b = 1."""
+    return long_division(a, m)[1]
+
+
+def exponent_residue_unpooled(exponents: dict[int, int], b: int) -> IntPolynomial:
+    """Residue modulo cyclotomic(b) of prod_c cyclotomic(c)^exponents[c]: each
+    cyclotomic(c) ** ex built in full and reduced by long division, then the
+    residues multiplied one by one, with no pooling, fold or memo."""
+    phi = cyclotomic_by_division(b)
+    acc = ONE
+    for c, ex in exponents.items():
+        acc = rem_monic(acc * rem_monic(cyclotomic(c) ** ex, phi), phi)
+    return acc
 
 
 @lru_cache(maxsize=None)

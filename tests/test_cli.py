@@ -296,7 +296,16 @@ class TestExitCodes:
         (["verify-ld", "--p", "2", "--order", "2"], "--series", [1, 2, 3]),
         (["verify-ld", "--p", "2", "--order", "2"], "--series",
          {"num_vars": 1, "cap": [2], "coefficients": [[0, ["1"]]]}),
-    ], ids=["spec-flat-vectors", "spec-scalar-e", "series-top-level-list", "series-list-entry"])
+        # JSON true and false load as Python bools, which are ints; each input
+        # below once ran to exit 0.
+        (["check-landau"], "--spec", {"dim": True, "e": [[True]], "f": [[1]]}),
+        (["verify-ld", "--p", "2", "--order", "2"], "--series",
+         {"num_vars": 1, "cap": [2], "coefficients": [
+             {"exponents": [0], "coeff": ["1"]}, {"exponents": [True], "coeff": ["2"]}]}),
+        (["find-relations", "--dx", "1", "--dy", "1", "--order", "12"], "--series",
+         [1, True] + list(range(2, 40))),
+    ], ids=["spec-flat-vectors", "spec-scalar-e", "series-top-level-list", "series-list-entry",
+            "spec-bool", "series-bool-exponent", "sequence-bool"])
     def test_malformed_json_input(self, capsys, tmp_path, command, option, content):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(content))

@@ -12,15 +12,13 @@ from qlucas.intpoly import (
     ZERO,
     IntPolynomial,
     NotDivisible,
-    NotMonic,
     _mul_schoolbook,
-    _rem_monic_coeffs,
+    _reduce_cyclotomic,
     cyclotomic,
     div_one_minus_qk_exact,
     monomial,
     mul_one_minus_qk,
     reduce_mod_cyclotomic,
-    rem_monic,
 )
 from oracles import (
     add_loop,
@@ -29,6 +27,7 @@ from oracles import (
     divide_monic,
     mul_one_minus_qk_loop,
     reduce_mod_cyclotomic_loop,
+    rem_monic,
 )
 
 P = IntPolynomial
@@ -198,14 +197,6 @@ class TestDivision:
         assert rem_monic(P((1, 1, 1, 1, 1)), P((-1, 1))) == P((5,))
         assert rem_monic(P((1, 1)), P((0, 0, 1))) == P((1, 1))
 
-    def test_rem_monic_rejects_nonmonic(self):
-        with pytest.raises(NotMonic):
-            rem_monic(ONE, P((1, 2)))
-        with pytest.raises(NotMonic):
-            rem_monic(ONE, P((5,)))
-        with pytest.raises(NotMonic):
-            rem_monic(ONE, ZERO)
-
     @given(poly(), poly(st.lists(st.integers(-9, 9), min_size=1, max_size=6)))
     def test_rem_monic_reconstruction(self, a, mtail):
         m = P(tuple(mtail.coeffs) + (0,) * (1 - len(mtail.coeffs)) + (1,))
@@ -367,23 +358,34 @@ class TestReduceModCyclotomic:
 
 class TestResidueProduct:
     # The residue route multiplies reduced residues as plain lists:
-    # _mul_schoolbook, then the reduction loop of rem_monic.
+    # _mul_schoolbook, then the one reduction helper, _reduce_cyclotomic.
     @given(st.integers(1, 40), st.data())
     def test_matches_reduced_product(self, b, data):
         phi = cyclotomic(b).coeffs
         residue = st.integers(0, len(phi) - 1).flatmap(canonical_coeffs)
         a, c = data.draw(residue), data.draw(residue)
-        product = _rem_monic_coeffs(_mul_schoolbook(a, c), phi)
-        assert tuple(product) == reduce_mod_cyclotomic(P(a) * P(c), b).coeffs
+        product = _reduce_cyclotomic(_mul_schoolbook(a, c), b)
+        assert tuple(product) == rem_monic(P(a) * P(c), cyclotomic_by_division(b)).coeffs
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 40), st.data())
+    def test_helper_matches_long_division(self, b, data):
+        # Length b takes no fold, 2b the block fold (b >= 3) and b*b the
+        # residue-class fold; b = 1 and 2 have degree-1 moduli. Trailing
+        # zeros are allowed in the input and cut from the result.
+        n = data.draw(st.sampled_from((b, 2 * b, b * b)))
+        c = data.draw(st.lists(wide_ints, min_size=n, max_size=n))
+        expected = rem_monic(P(c), cyclotomic_by_division(b)).coeffs
+        assert tuple(_reduce_cyclotomic(c, b)) == expected
+        assert tuple(_reduce_cyclotomic(tuple(c), b)) == expected
 
     def test_canonical_remainder(self):
         # q^2 + q + 1 leaves nothing mod itself; q^3 leaves 1; lists shorter
         # than the modulus only lose their trailing zeros.
-        phi3 = cyclotomic(3).coeffs
-        assert _rem_monic_coeffs([1, 1, 1], phi3) == []
-        assert _rem_monic_coeffs([0, 0, 0, 1], phi3) == [1]
-        assert _rem_monic_coeffs([5, 0], phi3) == [5]
-        assert _rem_monic_coeffs([], phi3) == []
+        assert _reduce_cyclotomic([1, 1, 1], 3) == []
+        assert _reduce_cyclotomic([0, 0, 0, 1], 3) == [1]
+        assert _reduce_cyclotomic([5, 0], 3) == [5]
+        assert _reduce_cyclotomic([], 3) == []
 
 
 class TestSerialization:
