@@ -31,6 +31,7 @@ from .intpoly import ONE, IntPolynomial, reduce_mod_cyclotomic
 from .landau import check_landau
 from .qcombinatorics import (
     RatioSpec,
+    _check_point,
     _ratio_step,
     cyclotomic_exponents,
     exponent_residue,
@@ -111,13 +112,6 @@ def _require_hypotheses(spec: RatioSpec, subject: str, subdomain: bool) -> None:
         raise HypothesisViolated(
             f"{subject}: step function is below 1 on the distinguished subdomain"
         )
-
-
-def _step_box(spec: RatioSpec, n_box: Sequence[int]) -> tuple[int, ...]:
-    n_box = tuple(n_box)
-    if len(n_box) != spec.dim or any(c < 0 for c in n_box):
-        raise ValueError(f"n_box {n_box} must be nonnegative of length {spec.dim}")
-    return n_box
 
 
 def _is_prime(p: int) -> bool:
@@ -244,7 +238,7 @@ def verify_ratio_congruence(
     one per modulus and per CPU; the merged report is identical to the
     serial one.
     """
-    n_box = _step_box(spec, n_box)
+    n_box = _check_point(spec, n_box, "n_box")
     if b_max < 1:
         raise ValueError("b_max must be >= 1")
     _require_hypotheses(spec, "ratio congruence", subdomain=True)
@@ -270,7 +264,7 @@ def verify_plucas_at_one(
     shape as verify_ratio_congruence; residues are reported as constant
     polynomials.
     """
-    n_box = _step_box(spec, n_box)
+    n_box = _check_point(spec, n_box, "n_box")
     if p_max < 2:
         raise ValueError("p_max must be >= 2")
     _require_hypotheses(spec, "prime congruence", subdomain=True)
@@ -294,7 +288,7 @@ def verify_inter2_identity(spec: RatioSpec, b: int, n_box: Sequence[int]) -> Con
     Needs only balance and integrality (the subdomain condition plays no
     role here).
     """
-    n_box = _step_box(spec, n_box)
+    n_box = _check_point(spec, n_box, "n_box")
     if b < 1:
         raise ValueError("b must be >= 1")
     _require_hypotheses(spec, "scaled-point identity", subdomain=False)

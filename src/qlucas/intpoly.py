@@ -179,6 +179,10 @@ class IntPolynomial:
 
     @classmethod
     def from_strings(cls, items: Iterable[str]) -> "IntPolynomial":
+        """Inverse of to_strings; a TypeError for an entry that is not a str."""
+        items = list(items)
+        if not all(isinstance(s, str) for s in items):
+            raise TypeError(f"coefficients {items} must be decimal strings")
         return cls(int(s) for s in items)
 
     def terms(self) -> Iterator[tuple[int, int]]:

@@ -21,13 +21,16 @@ rational grid sample can discover every cell; the tests use that as an oracle.
 
 Feasibility is decided by exact Fourier-Motzkin elimination over the
 integers, tracking strictness. The cell search is incremental: each search
-node keeps one constraint set per elimination level, and a child extends its
-parent's levels by its two slab constraints, pairing only the constraints
-new to a level against that level's opposite bounds and checking only the
-new constraints left without a variable. The levels equal those of the
-child's system eliminated from scratch, so internal nodes do no rational
-arithmetic; a leaf takes its witness by back-substitution through its own
-levels, with midpoints between the tightest bounds. The back-substitution
+node holds one immutable constraint set per elimination level, and a child
+derives its levels from its parent's by adding its two slab constraints,
+pairing only the constraints new to a level against that level's opposite
+bounds and checking only the new constraints left without a variable. The
+parent's levels are left as they were, so siblings start from the same
+levels and nothing is undone when a subtree ends; from the first level
+that gains nothing down, levels are shared, not copied. The levels equal
+those of the child's system eliminated from scratch, so internal nodes do no
+rational arithmetic; a leaf takes its witness by back-substitution through
+its own levels, with midpoints between the tightest bounds. The back-substitution
 also runs in integers, over one common denominator, and builds Fractions only
 for the witness coordinates. All arithmetic is exact.
 The search reports its nodes and generated constraints, and its budget caps
@@ -40,7 +43,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .qcombinatorics import RatioSpec
 
@@ -225,113 +228,92 @@ class SearchCounts:
     constraints: int = 0  # constraints added to the elimination levels
 
 
-class _Elimination:
-    """Fourier-Motzkin levels of a constraint system that grows and shrinks.
+# Level d of a constraint system is the system over x_0..x_{d-1}: its
+# constraints as a set, and its lower and upper bounds on x_{d-1}.
+Level = tuple[frozenset[Constraint], tuple[Constraint, ...], tuple[Constraint, ...]]
+Levels = tuple[Level, ...]
 
-    Level d is the system over x_0..x_{d-1}: level dim is the input, and
-    level d - 1 holds the constraints of level d free of x_{d-1} plus, for
-    every lower bound on x_{d-1} and every upper bound, their combination
-    with x_{d-1} eliminated. Each level is a set, and keeps its bounds on
-    x_{d-1} in two lists for back-substitution. Constraints with no variable
-    left are checked and not passed down; the system is feasible iff none of
-    them fails, since each level is the exact projection of the one above,
-    strictness included. Back-substitution therefore needs no check.
 
-    push carries only the constraints new to a level down to the next: new
+def _extend(
+    levels: Levels, new: Iterable[Constraint], charge: Callable[[int, int], None]
+) -> Optional[Levels]:
+    """The Fourier-Motzkin levels of a system grown by new constraints, or
+    None once one with no variable left fails.
+
+    Level dim is the input, and level d - 1 holds the constraints of level d
+    free of x_{d-1} plus, for every lower bound on x_{d-1} and every upper
+    bound, their combination with x_{d-1} eliminated. Constraints with no
+    variable left are checked and not passed down; the system is feasible iff
+    none of them fails, since each level is the exact projection of the one
+    above, strictness included. Back-substitution therefore needs no check.
+
+    Only the constraints new to a level are carried down to the next: new
     lower bounds pair with every upper bound, new upper bounds with the old
-    lower bounds. So the levels after a push are exactly the levels of the
-    grown system built from scratch, and pop restores the levels before it.
-    Every constraint added is charged to the counts, and the counts to the
-    budget.
+    lower bounds. So the result equals the levels of the grown system built
+    from scratch. The given levels are never changed: the result shares them
+    from the first level that gains nothing down. Each level's new
+    constraints are charged as they are added, top level first.
     """
+    changed: list[Level] = []
+    for d in range(len(levels) - 1, -1, -1):
+        cons, lowers, uppers = levels[d]
+        fresh = set(new) - cons
+        if not fresh:
+            return levels[: d + 1] + tuple(reversed(changed))
+        charge(0, len(fresh))
+        var = d - 1
+        new, new_lowers, new_uppers = [], [], []
+        for con in fresh:
+            coeffs, rhs, strict = con
+            if not any(coeffs):
+                if rhs < 0 or (strict and rhs == 0):
+                    return None
+            elif coeffs[var] < 0:
+                new_lowers.append(con)
+            elif coeffs[var] > 0:
+                new_uppers.append(con)
+            else:
+                new.append(con)
+        all_uppers = uppers + tuple(new_uppers)
+        new += [_eliminate(lo, up, var) for lo in new_lowers for up in all_uppers]
+        new += [_eliminate(lo, up, var) for lo in lowers for up in new_uppers]
+        changed.append((cons | fresh, lowers + tuple(new_lowers), all_uppers))
+    return tuple(reversed(changed))
 
-    def __init__(self, dim: int, budget: int, counts: SearchCounts):
-        self.levels: list[tuple[set[Constraint], list[Constraint], list[Constraint]]] = [
-            (set(), [], []) for _ in range(dim + 1)
-        ]
-        self.budget = budget
-        self.counts = counts
-        self._undo: list[list[tuple[int, set[Constraint], int, int]]] = []
 
-    def charge(self, nodes: int, constraints: int) -> None:
-        self.counts.nodes += nodes
-        self.counts.constraints += constraints
-        if self.counts.nodes + self.counts.constraints > self.budget:
-            raise DimensionTooLarge(self.budget)
+def _witness(levels: Levels) -> tuple[Fraction, ...]:
+    """A point of a feasible system by back-substitution, level 1 up.
 
-    def push(self, new: Iterable[Constraint]) -> bool:
-        """Add constraints; False once one with no variable left fails.
-
-        Every push, feasible or not, is undone by one pop.
-        """
-        undo: list[tuple[int, set[Constraint], int, int]] = []
-        self._undo.append(undo)
-        for d in range(len(self.levels) - 1, -1, -1):
-            cons, lowers, uppers = self.levels[d]
-            fresh = set(new) - cons
-            cons |= fresh
-            n_lowers = len(lowers)
-            undo.append((d, fresh, n_lowers, len(uppers)))
-            self.charge(0, len(fresh))
-            var = d - 1
-            new, new_lowers, new_uppers = [], [], []
-            for con in fresh:
-                coeffs, rhs, strict = con
-                if not any(coeffs):
-                    if rhs < 0 or (strict and rhs == 0):
-                        return False
-                elif coeffs[var] < 0:
-                    new_lowers.append(con)
-                elif coeffs[var] > 0:
-                    new_uppers.append(con)
-                else:
-                    new.append(con)
-            lowers += new_lowers
-            uppers += new_uppers
-            new += [_eliminate(lo, up, var) for lo in new_lowers for up in uppers]
-            new += [_eliminate(lo, up, var) for lo in lowers[:n_lowers] for up in new_uppers]
-        return True
-
-    def pop(self) -> None:
-        for d, fresh, n_lowers, n_uppers in self._undo.pop():
-            cons, lowers, uppers = self.levels[d]
-            cons -= fresh
-            del lowers[n_lowers:]
-            del uppers[n_uppers:]
-
-    def witness(self) -> tuple[Fraction, ...]:
-        """A point of a feasible system by back-substitution, level 1 up.
-
-        Each x_{d-1} is the midpoint of the tightest lower and upper bound on
-        it given the coordinates before it; the box bounds make both exist.
-        The back-substitution runs in integers: the coordinates are kept as
-        numerators over one common denominator, a bound as a pair (n, c)
-        standing for n / (c den) with c > 0, and only the output coordinates
-        are built as Fractions.
-        """
-        nums: list[int] = []
-        den = 1
-        for var, (_, lowers, uppers) in enumerate(self.levels[1:]):
-            # coeffs . x <= rhs is tight at x_var = (rhs den - rest) / (coeffs[var] den)
-            lo_n, lo_c = None, 1
-            for coeffs, rhs, _ in lowers:
-                n, c = sum(map(operator.mul, coeffs, nums)) - rhs * den, -coeffs[var]
-                if lo_n is None or n * lo_c > lo_n * c:
-                    lo_n, lo_c = n, c
-            up_n, up_c = None, 1
-            for coeffs, rhs, _ in uppers:
-                n, c = rhs * den - sum(map(operator.mul, coeffs, nums)), coeffs[var]
-                if up_n is None or n * up_c < up_n * c:
-                    up_n, up_c = n, c
-            # the midpoint (lo + up) / 2 in lowest terms, mid_n / mid_d
-            mid_n, mid_d = lo_n * up_c + up_n * lo_c, 2 * lo_c * up_c * den
-            g = math.gcd(mid_n, mid_d)
-            mid_n, mid_d = mid_n // g, mid_d // g
-            scale = mid_d // math.gcd(den, mid_d)
-            nums = [n * scale for n in nums]
-            den *= scale
-            nums.append(mid_n * (den // mid_d))
-        return tuple(Fraction(n, den) for n in nums)
+    Each x_{d-1} is the midpoint of the tightest lower and upper bound on
+    it given the coordinates before it; the box bounds make both exist.
+    The back-substitution runs in integers: the coordinates are kept as
+    numerators over one common denominator, a bound as a pair (n, c)
+    standing for n / (c den) with c > 0, and only the output coordinates
+    are built as Fractions.
+    """
+    nums: list[int] = []
+    den = 1
+    for var, (_, lowers, uppers) in enumerate(levels[1:]):
+        # coeffs . x <= rhs is tight at x_var = (rhs den - rest) / (coeffs[var] den)
+        lo_n, lo_c = None, 1
+        for coeffs, rhs, _ in lowers:
+            n, c = sum(map(operator.mul, coeffs, nums)) - rhs * den, -coeffs[var]
+            if lo_n is None or n * lo_c > lo_n * c:
+                lo_n, lo_c = n, c
+        up_n, up_c = None, 1
+        for coeffs, rhs, _ in uppers:
+            n, c = rhs * den - sum(map(operator.mul, coeffs, nums)), coeffs[var]
+            if up_n is None or n * up_c < up_n * c:
+                up_n, up_c = n, c
+        # the midpoint (lo + up) / 2 in lowest terms, mid_n / mid_d
+        mid_n, mid_d = lo_n * up_c + up_n * lo_c, 2 * lo_c * up_c * den
+        g = math.gcd(mid_n, mid_d)
+        mid_n, mid_d = mid_n // g, mid_d // g
+        scale = mid_d // math.gcd(den, mid_d)
+        nums = [n * scale for n in nums]
+        den *= scale
+        nums.append(mid_n * (den // mid_d))
+    return tuple(Fraction(n, den) for n in nums)
 
 
 def _box_constraints(dim: int) -> list[Constraint]:
@@ -358,9 +340,10 @@ def enumerate_cells(
     """All nonempty floor-signature cells of the unit box, with witnesses.
 
     Vectors are assigned largest component sum first; partial assignments
-    that are already infeasible prune the whole subtree. A child node extends
-    its parent's elimination levels by its two slab constraints, and a leaf
-    takes its witness from its own levels. The budget bounds the search nodes
+    that are already infeasible prune the whole subtree. A child node derives
+    its elimination levels from its parent's, which stay unchanged, by adding
+    its two slab constraints, and a leaf takes its witness from its own
+    levels. The budget bounds the search nodes
     explored plus the constraints they add to the levels, and raises
     DimensionTooLarge when exceeded; a budget below 1 is a ValueError. Both
     are tallied in counts, if given.
@@ -368,26 +351,29 @@ def enumerate_cells(
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     vectors = sorted(spec.distinct_nonzero_vectors(), key=lambda t: (-sum(t), t))
-    elim = _Elimination(spec.dim, budget, counts if counts is not None else SearchCounts())
+    counts = counts if counts is not None else SearchCounts()
     results: list[CellSignature] = []
 
-    def walk(idx: int, assigned: list[tuple[Vector, int]], new: list[Constraint]):
-        elim.charge(1, 0)
-        try:
-            if not elim.push(new):
-                return
-            if idx == len(vectors):
-                witness = RationalPoint(elim.witness())
-                floors = tuple(sorted(assigned))
-                results.append(CellSignature(floors, witness))
-                return
-            t = vectors[idx]
-            for m in range(sum(t)):
-                walk(idx + 1, assigned + [(t, m)], _slab_constraints(t, m))
-        finally:
-            elim.pop()
+    def charge(nodes: int, constraints: int) -> None:
+        counts.nodes += nodes
+        counts.constraints += constraints
+        if counts.nodes + counts.constraints > budget:
+            raise DimensionTooLarge(budget)
 
-    walk(0, [], _box_constraints(spec.dim))
+    def walk(idx: int, assigned: list[tuple[Vector, int]], parent: Levels, new: list[Constraint]):
+        charge(1, 0)
+        levels = _extend(parent, new, charge)
+        if levels is None:
+            return
+        if idx == len(vectors):
+            witness = RationalPoint(_witness(levels))
+            results.append(CellSignature(tuple(sorted(assigned)), witness))
+            return
+        t = vectors[idx]
+        for m in range(sum(t)):
+            walk(idx + 1, assigned + [(t, m)], levels, _slab_constraints(t, m))
+
+    walk(0, [], ((frozenset(), (), ()),) * (spec.dim + 1), _box_constraints(spec.dim))
     return tuple(results)
 
 

@@ -147,12 +147,11 @@ def dot(vec: Sequence[int], n: Sequence[int]) -> int:
     return sum(map(operator.mul, vec, n))
 
 
-def _check_point(spec: RatioSpec, n: Sequence[int]) -> Vector:
+def _check_point(spec: RatioSpec, n: Sequence[int], name: str = "point") -> Vector:
+    """n as a tuple of dim nonnegative integers; name labels it in the error."""
     n = tuple(n)
-    if len(n) != spec.dim:
-        raise ValueError(f"point {n} has length != dim={spec.dim}")
-    if any((not isinstance(c, int)) or c < 0 for c in n):
-        raise ValueError(f"point {n} must have nonnegative integer entries")
+    if len(n) != spec.dim or any(not _is_int(c) or c < 0 for c in n):
+        raise ValueError(f"{name} {n} must be nonnegative integers of length {spec.dim}")
     return n
 
 
@@ -370,9 +369,7 @@ def q_ratio_box(spec: RatioSpec, cap: Sequence[int]) -> dict[Vector, IntPolynomi
     Raises NotDivisible at the first point where the ratio fails to be a
     polynomial.
     """
-    cap = tuple(cap)
-    if len(cap) != spec.dim or any((not isinstance(c, int)) or c < 0 for c in cap):
-        raise ValueError(f"cap {cap} must be nonnegative integers of length dim={spec.dim}")
+    cap = _check_point(spec, cap, "cap")
     out: dict[Vector, IntPolynomial] = {}
     for n in iter_box(cap):
         if not any(n):

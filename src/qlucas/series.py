@@ -114,7 +114,7 @@ class TruncatedSeries:
         except (TypeError, KeyError):
             raise ValueError(
                 "series coefficients must be a list of {exponents, coeff} objects, "
-                "with the coefficients as a list of integers"
+                "with the coefficients as a list of decimal strings"
             ) from None
         return cls(num_vars, cap, coeffs)
 
@@ -172,9 +172,9 @@ def specialize(
     t = tuple(t)
     m = tuple(m)
     d = series.num_vars
-    if len(t) != d or any((not isinstance(c, int)) or c < 0 for c in t):
+    if len(t) != d or any(not _is_int(c) or c < 0 for c in t):
         raise ValueError(f"t {t} must be nonnegative integers of length {d}")
-    if len(m) != d or any((not isinstance(c, int)) or c < 0 for c in m):
+    if len(m) != d or any(not _is_int(c) or c < 0 for c in m):
         raise ValueError(f"m {m} must be nonnegative integers of length {d}")
     if order < 0:
         raise ValueError("order must be nonnegative")

@@ -304,8 +304,16 @@ class TestExitCodes:
              {"exponents": [0], "coeff": ["1"]}, {"exponents": [True], "coeff": ["2"]}]}),
         (["find-relations", "--dx", "1", "--dy", "1", "--order", "12"], "--series",
          [1, True] + list(range(2, 40))),
+        # Coefficients are decimal strings; a number was once truncated by int().
+        (["verify-ld", "--p", "2", "--order", "1"], "--series",
+         {"num_vars": 1, "cap": [1], "coefficients": [
+             {"exponents": [0], "coeff": ["1"]}, {"exponents": [1], "coeff": [2.7]}]}),
+        (["verify-ld", "--p", "2", "--order", "1"], "--series",
+         {"num_vars": 1, "cap": [1], "coefficients": [
+             {"exponents": [0], "coeff": ["1"]}, {"exponents": [1], "coeff": [True]}]}),
     ], ids=["spec-flat-vectors", "spec-scalar-e", "series-top-level-list", "series-list-entry",
-            "spec-bool", "series-bool-exponent", "sequence-bool"])
+            "spec-bool", "series-bool-exponent", "sequence-bool", "series-number-coeff",
+            "series-bool-coeff"])
     def test_malformed_json_input(self, capsys, tmp_path, command, option, content):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(content))

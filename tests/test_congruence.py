@@ -377,7 +377,7 @@ class TestPreconditions:
             lambda box: verify_inter2_identity(self.UNBALANCED, 3, box),
         ):
             for box in ((1, 2), (-1,)):
-                with pytest.raises(ValueError, match=r"^n_box .* must be nonnegative of length 1$"):
+                with pytest.raises(ValueError, match=r"^n_box .* must be nonnegative integers of length 1$"):
                     sweep(box)
 
 

@@ -1,5 +1,6 @@
 """landau tests: frozen small cases, a grid oracle for cells, a from-scratch
-elimination oracle for the incremental search, and properties."""
+elimination oracle for the incremental search, and properties of the
+immutable elimination levels."""
 
 import itertools
 import math
@@ -18,6 +19,7 @@ from qlucas.landau import (
     RationalPoint,
     SearchCounts,
     _box_constraints,
+    _extend,
     _slab_constraints,
     check_landau,
     delta_at,
@@ -283,6 +285,51 @@ class TestEnumerateCells:
         assert counts.nodes == nodes
         for c in cells:
             assert signature_at(spec, c.witness) == c.floors_dict(), c
+
+
+def _slabs(spec):
+    return st.lists(
+        st.sampled_from([(t, m) for t in spec.distinct_nonzero_vectors() for m in range(sum(t))]),
+        min_size=1,
+        max_size=2,
+    ).map(lambda slabs: [con for t, m in slabs for con in _slab_constraints(t, m)])
+
+
+def _box_levels(spec):
+    empty = ((frozenset(), (), ()),) * (spec.dim + 1)
+    return _extend(empty, _box_constraints(spec.dim), lambda *_: None)
+
+
+def _level_sets(levels):
+    # bounds arrive in a different order on different routes
+    return None if levels is None else [(cons, set(lo), set(up)) for cons, lo, up in levels]
+
+
+class TestExtend:
+    @settings(max_examples=40, deadline=None)
+    @given(balanced_specs(max_dim=3), st.data())
+    def test_children_leave_parent_unchanged(self, spec, data):
+        parent = _extend(_box_levels(spec), data.draw(_slabs(spec)), lambda *_: None)
+        if parent is None:
+            return
+        copy = [(set(cons), list(lo), list(up)) for cons, lo, up in parent]
+        first, second = data.draw(_slabs(spec)), data.draw(_slabs(spec))
+        _extend(parent, first, lambda *_: None)
+        _extend(parent, second, lambda *_: None)
+        assert [(set(cons), list(lo), list(up)) for cons, lo, up in parent] == copy
+
+    @settings(max_examples=60, deadline=None)
+    @given(balanced_specs(max_dim=3), st.data())
+    def test_two_steps_equal_one(self, spec, data):
+        a, b = data.draw(_slabs(spec)), data.draw(_slabs(spec))
+        base = _box_levels(spec)
+        in_steps, at_once = [], []
+        mid = _extend(base, a, lambda _, c: in_steps.append(c))
+        two = None if mid is None else _extend(mid, b, lambda _, c: in_steps.append(c))
+        one = _extend(base, a + b, lambda _, c: at_once.append(c))
+        assert _level_sets(two) == _level_sets(one)
+        if one is not None:
+            assert sum(in_steps) == sum(at_once)
 
 
 class TestCheckLandau:

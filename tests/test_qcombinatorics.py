@@ -10,6 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qlucas import catalog, qcombinatorics
+from qlucas.congruence import verify_inter2_identity, verify_plucas_at_one, verify_ratio_congruence
 from qlucas.intpoly import IntPolynomial, NotDivisible, cyclotomic, reduce_mod_cyclotomic
 from qlucas.qcombinatorics import (
     NegativeExponent,
@@ -25,6 +26,7 @@ from qlucas.qcombinatorics import (
     q_ratio_mod,
     ratio_degree,
 )
+from qlucas.series import TruncatedSeries, specialize
 from oracles import divide_monic, exponent_residue_unpooled, q_factorial, q_integer
 from strategies import balanced_specs
 
@@ -363,6 +365,30 @@ class TestRouteProperties:
                 _ratio_step(spec, start, src, dst)
             return
         assert _ratio_step(spec, start, src, dst) == expected
+
+
+SERIES_1D = TruncatedSeries.from_coefficients([1, 2, 3, 4])
+
+# Every public call that takes a lattice point, box or exponent vector. A bool
+# passes isinstance(c, int), so each must refuse it explicitly.
+LATTICE_ENTRY_POINTS = {
+    "q_ratio": lambda v: q_ratio(CENTRAL, v),
+    "q_ratio_mod": lambda v: q_ratio_mod(CENTRAL, v, 3),
+    "q_ratio_at_one": lambda v: q_ratio_at_one(CENTRAL, v),
+    "q_ratio_box": lambda v: q_ratio_box(CENTRAL, v),
+    "specialize-t": lambda v: specialize(SERIES_1D, v, (1,), 3),
+    "specialize-m": lambda v: specialize(SERIES_1D, (0,), v, 3),
+    "verify_ratio_congruence": lambda v: verify_ratio_congruence(CENTRAL, 2, v),
+    "verify_plucas_at_one": lambda v: verify_plucas_at_one(CENTRAL, 2, v),
+    "verify_inter2_identity": lambda v: verify_inter2_identity(CENTRAL, 2, v),
+}
+
+
+@pytest.mark.parametrize("bad", [(True,), (1.5,)], ids=["bool", "float"])
+@pytest.mark.parametrize("call", LATTICE_ENTRY_POINTS.values(), ids=LATTICE_ENTRY_POINTS)
+def test_lattice_inputs_refuse_bools_and_non_integers(call, bad):
+    with pytest.raises(ValueError, match="must be nonnegative integers of length 1"):
+        call(bad)
 
 
 class TestQRatioBox:
