@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
@@ -31,6 +30,7 @@ from .intpoly import ONE, IntPolynomial, reduce_mod_cyclotomic
 from .landau import check_landau
 from .qcombinatorics import (
     RatioSpec,
+    _check_ints,
     _check_point,
     _ratio_step,
     cyclotomic_exponents,
@@ -162,6 +162,10 @@ def _run_sweep(sweep: Callable, spec: RatioSpec, moduli: list[int], n_box: tuple
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     workers = min(jobs, len(moduli), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: the process pool machinery costs every import of
+        # qlucas tens of milliseconds and only jobs > 1 needs it
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = [moduli[k::workers] for k in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(sweep, [spec] * workers, chunks, [n_box] * workers))
@@ -239,6 +243,7 @@ def verify_ratio_congruence(
     serial one.
     """
     n_box = _check_point(spec, n_box, "n_box")
+    _check_ints(b_max=b_max)
     if b_max < 1:
         raise ValueError("b_max must be >= 1")
     _require_hypotheses(spec, "ratio congruence", subdomain=True)
@@ -265,6 +270,7 @@ def verify_plucas_at_one(
     polynomials.
     """
     n_box = _check_point(spec, n_box, "n_box")
+    _check_ints(p_max=p_max)
     if p_max < 2:
         raise ValueError("p_max must be >= 2")
     _require_hypotheses(spec, "prime congruence", subdomain=True)
@@ -289,6 +295,7 @@ def verify_inter2_identity(spec: RatioSpec, b: int, n_box: Sequence[int]) -> Con
     role here).
     """
     n_box = _check_point(spec, n_box, "n_box")
+    _check_ints(b=b)
     if b < 1:
         raise ValueError("b must be >= 1")
     _require_hypotheses(spec, "scaled-point identity", subdomain=False)
@@ -361,6 +368,7 @@ def verify_apery(family: str, t: int, b_max: int, total_max: int) -> CongruenceR
     integer-only sequence values, so the check crosses two independent
     routes to the same numbers.
     """
+    _check_ints(t=t, b_max=b_max, total_max=total_max)
     if b_max < 1 or total_max < 0:
         raise ValueError("b_max must be >= 1 and total_max >= 0")
     at_one = catalog.apery_number_sequence(family, total_max)

@@ -24,17 +24,22 @@ integers, tracking strictness. The cell search is incremental: each search
 node holds one immutable constraint set per elimination level, and a child
 derives its levels from its parent's by adding its two slab constraints,
 pairing only the constraints new to a level against that level's opposite
-bounds and checking only the new constraints left without a variable. The
-parent's levels are left as they were, so siblings start from the same
-levels and nothing is undone when a subtree ends; from the first level
-that gains nothing down, levels are shared, not copied. The levels equal
-those of the child's system eliminated from scratch, so internal nodes do no
-rational arithmetic; a leaf takes its witness by back-substitution through
-its own levels, with midpoints between the tightest bounds. The back-substitution
-also runs in integers, over one common denominator, and builds Fractions only
-for the witness coordinates. All arithmetic is exact.
-The search reports its nodes and generated constraints, and its budget caps
-their sum.
+bounds and checking only the new constraints left without a variable. A
+level keeps one constraint per direction, the tightest, which removes the
+simplest kind of redundancy in Fourier's elimination (J.-L. Imbert,
+"Fourier's elimination: which to choose?", 1993): a new constraint that the
+level's bound in its direction dominates is dropped before it is paired, and
+one that dominates that bound replaces it. The parent's levels are left as
+they were, so siblings start from the same levels and nothing is undone when
+a subtree ends; from the first level that keeps nothing new, levels are
+shared, not copied. Each level describes the same set, with the same
+tightest bound per direction, as the child's system eliminated from scratch,
+so internal nodes do no rational arithmetic; a leaf takes its witness by
+back-substitution through its own levels, with midpoints between the
+tightest bounds. The back-substitution also runs in integers, over one
+common denominator, and builds Fractions only for the witness coordinates.
+All arithmetic is exact. The search reports its nodes and kept constraints,
+and its budget caps their sum.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ Vector = tuple[int, ...]
 Rational = Union[int, Fraction]
 
 #: Default cap on search nodes explored plus Fourier-Motzkin constraints they
-#: generate while enumerating cell signatures.
+#: keep while enumerating cell signatures.
 DEFAULT_BUDGET = 10**6
 
 class DimensionTooLarge(RuntimeError):
@@ -137,7 +142,7 @@ class LandauReport:
     num_cells: int
     violating_cells: tuple[CellValue, ...]
     nodes: int  # search nodes explored
-    constraints: int  # Fourier-Motzkin constraints generated
+    constraints: int  # Fourier-Motzkin constraints kept
 
     @property
     def ok(self) -> bool:
@@ -206,18 +211,19 @@ def signature_at(spec: RatioSpec, x: Union[RationalPoint, Sequence[Rational]]) -
 Constraint = tuple[Vector, int, bool]
 
 
-def _eliminate(lower: Constraint, upper: Constraint, var: int) -> Constraint:
+def _eliminate(lower: Constraint, upper: Constraint, var: int) -> tuple[Constraint, int]:
     """The sum of positive multiples of a lower and an upper bound on x_var
     in which x_var cancels, divided by the gcd of its coefficients when that
-    also divides its right-hand side. Strict if either bound is strict."""
+    also divides its right-hand side, and the gcd of the coefficients it is
+    returned with. Strict if either bound is strict."""
     (lc, lr, ls), (uc, ur, us) = lower, upper
     lv, uv = -lc[var], uc[var]
     coeffs = [lv * u + uv * l for l, u in zip(lc, uc)]
     rhs = lv * ur + uv * lr
     g = math.gcd(*coeffs)
     if g > 1 and rhs % g == 0:
-        return (tuple(c // g for c in coeffs), rhs // g, ls or us)
-    return (tuple(coeffs), rhs, ls or us)
+        return (tuple(c // g for c in coeffs), rhs // g, ls or us), 1
+    return (tuple(coeffs), rhs, ls or us), g
 
 
 @dataclass
@@ -225,12 +231,14 @@ class SearchCounts:
     """Deterministic work counters of one cell enumeration."""
 
     nodes: int = 0  # search nodes explored, pruned ones included
-    constraints: int = 0  # constraints added to the elimination levels
+    constraints: int = 0  # constraints kept in the elimination levels
 
 
 # Level d of a constraint system is the system over x_0..x_{d-1}: its
-# constraints as a set, and its lower and upper bounds on x_{d-1}.
-Level = tuple[frozenset[Constraint], tuple[Constraint, ...], tuple[Constraint, ...]]
+# tightest constraint in each direction, keyed by the direction (the
+# coefficients over their gcd) and held with that gcd, and its lower and upper
+# bounds on x_{d-1}.
+Level = tuple[dict[Vector, tuple[Constraint, int]], tuple[Constraint, ...], tuple[Constraint, ...]]
 Levels = tuple[Level, ...]
 
 
@@ -243,41 +251,67 @@ def _extend(
     Level dim is the input, and level d - 1 holds the constraints of level d
     free of x_{d-1} plus, for every lower bound on x_{d-1} and every upper
     bound, their combination with x_{d-1} eliminated. Constraints with no
-    variable left are checked and not passed down; the system is feasible iff
-    none of them fails, since each level is the exact projection of the one
-    above, strictness included. Back-substitution therefore needs no check.
+    variable left are checked and not kept; the system is feasible iff none
+    of them fails, since each level is the exact projection of the one above,
+    strictness included. Back-substitution therefore needs no check.
 
-    Only the constraints new to a level are carried down to the next: new
+    A level keeps one constraint per direction, the tightest: the smaller
+    right-hand side over the gcd, the strict one on a tie. A new constraint
+    that the level's bound in its direction dominates is dropped; one that
+    dominates that bound replaces it among the lower and upper bounds. Every
+    combination of a dropped bound is dominated by the same combination of
+    the bound that replaced it, so each level describes the same set, with
+    the same tightest bound per direction, as the levels without dropping.
+
+    Only the constraints a level keeps are carried down to the next: new
     lower bounds pair with every upper bound, new upper bounds with the old
-    lower bounds. So the result equals the levels of the grown system built
-    from scratch. The given levels are never changed: the result shares them
-    from the first level that gains nothing down. Each level's new
-    constraints are charged as they are added, top level first.
+    lower bounds. So every level holds the tightest bound per direction of
+    the grown system eliminated from scratch. The given levels are never
+    changed: the result shares them from the first level that keeps nothing
+    new. Each level's kept constraints are charged as they are added, top
+    level first.
     """
+    carried = [(con, math.gcd(*con[0])) for con in new]
     changed: list[Level] = []
     for d in range(len(levels) - 1, -1, -1):
-        cons, lowers, uppers = levels[d]
-        fresh = set(new) - cons
-        if not fresh:
-            return levels[: d + 1] + tuple(reversed(changed))
-        charge(0, len(fresh))
-        var = d - 1
-        new, new_lowers, new_uppers = [], [], []
-        for con in fresh:
+        tightest, lowers, uppers = levels[d]
+        kept: dict[Vector, tuple[Constraint, int]] = {}
+        for con, g in carried:
             coeffs, rhs, strict = con
-            if not any(coeffs):
+            if not g:
                 if rhs < 0 or (strict and rhs == 0):
                     return None
-            elif coeffs[var] < 0:
+                continue
+            key = coeffs if g == 1 else tuple(c // g for c in coeffs)
+            held = kept.get(key) or tightest.get(key)
+            if held is not None:
+                (_, held_rhs, held_strict), held_g = held
+                # compare rhs / g with held_rhs / held_g
+                if held_rhs * g < rhs * held_g or (
+                    held_rhs * g == rhs * held_g and (held_strict or not strict)
+                ):
+                    continue
+            kept[key] = (con, g)
+        if not kept:
+            return levels[: d + 1] + tuple(reversed(changed))
+        charge(0, len(kept))
+        replaced = {tightest[key][0] for key in kept.keys() & tightest.keys()}
+        if replaced:
+            lowers = tuple(lo for lo in lowers if lo not in replaced)
+            uppers = tuple(up for up in uppers if up not in replaced)
+        var = d - 1
+        carried, new_lowers, new_uppers = [], [], []
+        for con, g in kept.values():
+            if con[0][var] < 0:
                 new_lowers.append(con)
-            elif coeffs[var] > 0:
+            elif con[0][var] > 0:
                 new_uppers.append(con)
             else:
-                new.append(con)
+                carried.append((con, g))
         all_uppers = uppers + tuple(new_uppers)
-        new += [_eliminate(lo, up, var) for lo in new_lowers for up in all_uppers]
-        new += [_eliminate(lo, up, var) for lo in lowers for up in new_uppers]
-        changed.append((cons | fresh, lowers + tuple(new_lowers), all_uppers))
+        carried += [_eliminate(lo, up, var) for lo in new_lowers for up in all_uppers]
+        carried += [_eliminate(lo, up, var) for lo in lowers for up in new_uppers]
+        changed.append(({**tightest, **kept}, lowers + tuple(new_lowers), all_uppers))
     return tuple(reversed(changed))
 
 
@@ -373,7 +407,7 @@ def enumerate_cells(
         for m in range(sum(t)):
             walk(idx + 1, assigned + [(t, m)], levels, _slab_constraints(t, m))
 
-    walk(0, [], ((frozenset(), (), ()),) * (spec.dim + 1), _box_constraints(spec.dim))
+    walk(0, [], (({}, (), ()),) * (spec.dim + 1), _box_constraints(spec.dim))
     return tuple(results)
 
 

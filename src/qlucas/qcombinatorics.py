@@ -74,6 +74,13 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _check_ints(**counts: object) -> None:
+    """Raise a ValueError naming the first of the counts that is not an int."""
+    for name, x in counts.items():
+        if not _is_int(x):
+            raise ValueError(f"{name} must be an integer, got {x!r}")
+
+
 @dataclass(frozen=True)
 class RatioSpec:
     """Numerator/denominator factorial vectors over dim counting variables."""

@@ -34,7 +34,7 @@ from .congruence import (
 )
 from .intpoly import IntPolynomial
 from .landau import check_landau
-from .qcombinatorics import RatioSpec, _is_int, dot, iter_box, q_ratio_box
+from .qcombinatorics import RatioSpec, _check_ints, _is_int, dot, iter_box, q_ratio_box
 
 Vector = tuple[int, ...]
 
@@ -176,6 +176,7 @@ def specialize(
         raise ValueError(f"t {t} must be nonnegative integers of length {d}")
     if len(m) != d or any(not _is_int(c) or c < 0 for c in m):
         raise ValueError(f"m {m} must be nonnegative integers of length {d}")
+    _check_ints(order=order)
     if order < 0:
         raise ValueError("order must be nonnegative")
     for j in range(d):
@@ -214,6 +215,7 @@ def extract_cofactor(
     """
     if fq.num_vars != 1:
         raise ValueError("extract_cofactor needs a one-variable series")
+    _check_ints(b=b, order=order)
     if b < 1:
         raise ValueError("b must be >= 1")
     if order < 0:
@@ -245,6 +247,7 @@ def verify_definition_Ld(
     most `order` are checked and failures carry the offending exponent.
     Needs an integer-coefficient series with constant term 1.
     """
+    _check_ints(p=p, k=k, order=order)
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if k < 1:

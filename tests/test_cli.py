@@ -453,3 +453,12 @@ class TestOneProcess:
             env={**os.environ, "PYTHONPATH": SRC}, timeout=120,
         )
         assert (proc.returncode, proc.stdout) == (0, "0\n")
+
+    def test_import_leaves_out_the_process_pool(self):
+        # only jobs > 1 needs multiprocessing, so a serial command never loads it
+        probe = "import sys, qlucas.cli; print('multiprocessing' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": SRC}, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n")

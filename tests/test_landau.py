@@ -3,9 +3,11 @@ elimination oracle for the incremental search, and properties of the
 immutable elimination levels."""
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -248,11 +250,11 @@ class TestEnumerateCells:
             check_landau(APERY, budget=budget)
 
     def test_budget_charges_constraints(self):
-        # apery explores 18 nodes that generate 61 constraints: a budget on
-        # nodes alone would pass well below their sum of 79.
-        assert len(enumerate_cells(APERY, budget=79)) == 4
+        # apery explores 18 nodes that keep 30 constraints: a budget on
+        # nodes alone would pass well below their sum of 48.
+        assert len(enumerate_cells(APERY, budget=48)) == 4
         with pytest.raises(DimensionTooLarge):
-            enumerate_cells(APERY, budget=78)
+            enumerate_cells(APERY, budget=47)
 
     @pytest.mark.parametrize("spec", CATALOG_SPECS, ids=str)
     def test_catalog_specs_within_default_budget(self, spec):
@@ -296,40 +298,76 @@ def _slabs(spec):
 
 
 def _box_levels(spec):
-    empty = ((frozenset(), (), ()),) * (spec.dim + 1)
+    empty = (({}, (), ()),) * (spec.dim + 1)
     return _extend(empty, _box_constraints(spec.dim), lambda *_: None)
 
 
-def _level_sets(levels):
-    # bounds arrive in a different order on different routes
-    return None if levels is None else [(cons, set(lo), set(up)) for cons, lo, up in levels]
+def _direction(coeffs):
+    g = math.gcd(*coeffs)
+    return tuple(c // g for c in coeffs), g
+
+
+def _tightest_bounds(levels):
+    # per level, each direction's bound as (rhs / gcd, strict): the tightest
+    # bounds do not depend on which of several equal constraints a route keeps
+    if levels is None:
+        return None
+    out = []
+    for tightest, _, _ in levels:
+        bounds = {}
+        for coeffs, rhs, strict in (con for con, _ in tightest.values()):
+            key, g = _direction(coeffs)
+            bounds[key] = (Fraction(rhs, g), strict)
+        out.append(bounds)
+    return out
+
+
+def _grow(spec, data, steps):
+    """Box levels extended by up to steps drawn slab batches, or None."""
+    levels = _box_levels(spec)
+    for _ in range(steps):
+        if levels is None:
+            break
+        levels = _extend(levels, data.draw(_slabs(spec)), lambda *_: None)
+    return levels
 
 
 class TestExtend:
     @settings(max_examples=40, deadline=None)
     @given(balanced_specs(max_dim=3), st.data())
     def test_children_leave_parent_unchanged(self, spec, data):
-        parent = _extend(_box_levels(spec), data.draw(_slabs(spec)), lambda *_: None)
+        parent = _grow(spec, data, 1)
         if parent is None:
             return
-        copy = [(set(cons), list(lo), list(up)) for cons, lo, up in parent]
-        first, second = data.draw(_slabs(spec)), data.draw(_slabs(spec))
-        _extend(parent, first, lambda *_: None)
-        _extend(parent, second, lambda *_: None)
-        assert [(set(cons), list(lo), list(up)) for cons, lo, up in parent] == copy
+        copy = [(dict(tightest), list(lo), list(up)) for tightest, lo, up in parent]
+        _extend(parent, data.draw(_slabs(spec)), lambda *_: None)
+        _extend(parent, data.draw(_slabs(spec)), lambda *_: None)
+        assert [(dict(tightest), list(lo), list(up)) for tightest, lo, up in parent] == copy
 
     @settings(max_examples=60, deadline=None)
     @given(balanced_specs(max_dim=3), st.data())
     def test_two_steps_equal_one(self, spec, data):
+        # The charges may differ: in two steps a bound of a can be kept and
+        # then replaced by a tighter one of b, which at once is never kept.
         a, b = data.draw(_slabs(spec)), data.draw(_slabs(spec))
         base = _box_levels(spec)
-        in_steps, at_once = [], []
-        mid = _extend(base, a, lambda _, c: in_steps.append(c))
-        two = None if mid is None else _extend(mid, b, lambda _, c: in_steps.append(c))
-        one = _extend(base, a + b, lambda _, c: at_once.append(c))
-        assert _level_sets(two) == _level_sets(one)
-        if one is not None:
-            assert sum(in_steps) == sum(at_once)
+        mid = _extend(base, a, lambda *_: None)
+        two = None if mid is None else _extend(mid, b, lambda *_: None)
+        one = _extend(base, a + b, lambda *_: None)
+        assert _tightest_bounds(two) == _tightest_bounds(one)
+
+    @settings(max_examples=60, deadline=None)
+    @given(balanced_specs(max_dim=3), st.data())
+    def test_one_constraint_per_direction(self, spec, data):
+        levels = _grow(spec, data, 3)
+        if levels is None:
+            return
+        for d, (tightest, lowers, uppers) in enumerate(levels):
+            held = [con for con, _ in tightest.values()]
+            assert [_direction(con[0]) for con in held] == [(key, g) for key, (_, g) in tightest.items()]
+            assert sorted(lowers + uppers) == sorted(con for con in held if con[0][d - 1])
+            assert all(con[0][d - 1] < 0 for con in lowers)
+            assert all(con[0][d - 1] > 0 for con in uppers)
 
 
 class TestCheckLandau:
@@ -347,7 +385,7 @@ class TestCheckLandau:
         assert rep.min_value_overall == 0
         assert rep.min_value_on_D == 1
         assert rep.num_cells == 4
-        assert (rep.nodes, rep.constraints) == (18, 61)
+        assert (rep.nodes, rep.constraints) == (18, 30)
 
     def test_inverse_central_fails_with_witness(self):
         rep = check_landau(INVERSE)
@@ -384,7 +422,18 @@ class TestCheckLandau:
         assert data["violating_cells"][0]["floors"] == [[[1], 0], [[2], 1]]
         assert data["violating_cells"][0]["value"] == -1
         assert data["spec"] == INVERSE.to_json_dict()
-        assert (data["nodes"], data["constraints"]) == (5, 9)
+        assert (data["nodes"], data["constraints"]) == (5, 4)
+
+    def test_reference_pool(self):
+        # the benchmark's decide pool: 840 specs of dimension 1-3 with their
+        # recorded verdicts
+        path = Path(__file__).resolve().parents[1] / "bench" / "landau_refs.json"
+        fields = ("integrality", "criterion_D", "min_value_overall", "min_value_on_D", "num_cells")
+        refs = json.loads(path.read_text())["specs"]
+        assert len(refs) == 840
+        for ref in refs:
+            rep = check_landau(RatioSpec(ref["dim"], ref["e"], ref["f"]))
+            assert [getattr(rep, name) for name in fields] == [ref[name] for name in fields], ref
 
 
 class TestConsistency:

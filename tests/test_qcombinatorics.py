@@ -10,7 +10,12 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qlucas import catalog, qcombinatorics
-from qlucas.congruence import verify_inter2_identity, verify_plucas_at_one, verify_ratio_congruence
+from qlucas.congruence import (
+    verify_apery,
+    verify_inter2_identity,
+    verify_plucas_at_one,
+    verify_ratio_congruence,
+)
 from qlucas.intpoly import IntPolynomial, NotDivisible, cyclotomic, reduce_mod_cyclotomic
 from qlucas.qcombinatorics import (
     NegativeExponent,
@@ -26,7 +31,7 @@ from qlucas.qcombinatorics import (
     q_ratio_mod,
     ratio_degree,
 )
-from qlucas.series import TruncatedSeries, specialize
+from qlucas.series import TruncatedSeries, extract_cofactor, specialize, verify_definition_Ld
 from oracles import divide_monic, exponent_residue_unpooled, q_factorial, q_integer
 from strategies import balanced_specs
 
@@ -389,6 +394,32 @@ LATTICE_ENTRY_POINTS = {
 def test_lattice_inputs_refuse_bools_and_non_integers(call, bad):
     with pytest.raises(ValueError, match="must be nonnegative integers of length 1"):
         call(bad)
+
+
+# Every public count argument that is not a lattice point, keyed by the call
+# and the argument's name; the other arguments are valid.
+COUNT_ARGUMENTS = {
+    "specialize-order": lambda v: specialize(SERIES_1D, (0,), (1,), v),
+    "extract_cofactor-b": lambda v: extract_cofactor(SERIES_1D, [1, 1, 1, 1], v, 2),
+    "extract_cofactor-order": lambda v: extract_cofactor(SERIES_1D, [1, 1, 1, 1], 2, v),
+    "verify_definition_Ld-p": lambda v: verify_definition_Ld(SERIES_1D, v, 1, 2),
+    "verify_definition_Ld-k": lambda v: verify_definition_Ld(SERIES_1D, 2, v, 2),
+    "verify_definition_Ld-order": lambda v: verify_definition_Ld(SERIES_1D, 2, 1, v),
+    "verify_ratio_congruence-b_max": lambda v: verify_ratio_congruence(CENTRAL, v, (2,)),
+    "verify_plucas_at_one-p_max": lambda v: verify_plucas_at_one(CENTRAL, v, (2,)),
+    "verify_inter2_identity-b": lambda v: verify_inter2_identity(CENTRAL, v, (2,)),
+    "verify_apery-t": lambda v: verify_apery("a", v, 2, 3),
+    "verify_apery-b_max": lambda v: verify_apery("a", 0, v, 3),
+    "verify_apery-total_max": lambda v: verify_apery("a", 0, 2, v),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 1.5], ids=["bool", "float"])
+@pytest.mark.parametrize("entry", COUNT_ARGUMENTS)
+def test_counts_refuse_bools_and_non_integers(entry, bad):
+    name = entry.split("-")[1]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
+        COUNT_ARGUMENTS[entry](bad)
 
 
 class TestQRatioBox:
