@@ -15,15 +15,14 @@ import math
 from fractions import Fraction
 from typing import Callable, Union
 
-from .qcombinatorics import RatioSpec, q_binomial
+from .qcombinatorics import RatioSpec, _check_ints, q_binomial
 
 Number = Union[int, Fraction]
 
 
 def central_binomial_spec(r: int = 1) -> RatioSpec:
     """(2n)!^r / n!^(2r) as a one-variable ratio spec."""
-    if r < 1:
-        raise ValueError("power must be >= 1")
+    _check_ints(r=(r, 1))
     return RatioSpec(1, ((2,),) * r, ((1,),) * (2 * r))
 
 
@@ -51,8 +50,7 @@ def apery_family_spec(family: str) -> RatioSpec:
 
 def binomial_spec(r: int = 1) -> RatioSpec:
     """(n1+n2)!^r / (n1!^r n2!^r) over two variables."""
-    if r < 1:
-        raise ValueError("power must be >= 1")
+    _check_ints(r=(r, 1))
     return RatioSpec(2, ((1, 1),) * r, ((1, 0),) * r + ((0, 1),) * r)
 
 

@@ -12,8 +12,13 @@ step-function conditions); they are checkers of stated facts, not explorers.
 Residues modulo cyclotomic(b) come from the cyclotomic exponent vector of
 each point and values at q = 1 from integer factorials; no full ratio
 polynomial is built. A sweep over many moduli memoizes both per point for
-the length of the call, since a point a + n b recurs for every b it can be
-written at.
+the length of the call, in two functools.cache wrappers, since a point
+a + n b recurs for every b it can be written at.
+
+Counts and boxes are checked before the hypotheses, by
+qcombinatorics._check_ints and _check_vector: a bool or non-integer, or a
+value below the least one allowed (b_max and jobs 1, p_max 2), is a
+ValueError that names the argument.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from typing import Callable, Optional, Sequence
 
 from . import catalog
@@ -31,7 +36,7 @@ from .landau import check_landau
 from .qcombinatorics import (
     RatioSpec,
     _check_ints,
-    _check_point,
+    _check_vector,
     _ratio_step,
     cyclotomic_exponents,
     exponent_residue,
@@ -129,28 +134,6 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass
-class _PointMemo:
-    """Exponent vectors and q = 1 values of one spec, keyed by point, for one call."""
-
-    spec: RatioSpec
-    exponents: dict = field(default_factory=dict)
-    at_one: dict = field(default_factory=dict)
-
-    def ratio_at_one(self, n: tuple[int, ...]) -> int:
-        hit = self.at_one.get(n)
-        if hit is None:
-            hit = self.at_one[n] = q_ratio_at_one(self.spec, n)
-        return hit
-
-    def residue(self, n: tuple[int, ...], b: int) -> IntPolynomial:
-        """The ratio at n modulo cyclotomic(b); the spec must be integral."""
-        exponents = self.exponents.get(n)
-        if exponents is None:
-            exponents = self.exponents[n] = cyclotomic_exponents(self.spec, n)
-        return exponent_residue(exponents, b)
-
-
 def _run_sweep(sweep: Callable, spec: RatioSpec, moduli: list[int], n_box: tuple[int, ...], jobs: int):
     """(checked, failures) of sweep over the moduli, on at most jobs workers.
 
@@ -158,8 +141,6 @@ def _run_sweep(sweep: Callable, spec: RatioSpec, moduli: list[int], n_box: tuple
     takes moduli[k::workers], which spreads the costly large moduli; a stable
     sort by modulus restores the serial order of the failures.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     workers = min(jobs, len(moduli), os.cpu_count() or 1)
     if workers > 1:
         # imported here: the process pool machinery costs every import of
@@ -212,16 +193,18 @@ def _sweep_moduli(
     """(checked, failures) of Q(q; a + n b) == Q(q; a) Q(1; n) modulo
     cyclotomic(b) for each b, or with at_one of its q = 1 shadow modulo the
     prime b. The points a + n b are the box 0..b(N_i + 1) - 1 per axis."""
-    memo = _PointMemo(spec)
+    ratio_at_one = cache(partial(q_ratio_at_one, spec))
+    exponents = cache(partial(cyclotomic_exponents, spec))
     checked = 0
     failures: list[CongruenceFailure] = []
     for b in moduli:
         if at_one:
-            residue, reduce = (lambda x: memo.ratio_at_one(x) % b), (lambda v: v % b)
+            residue, reduce = (lambda x: ratio_at_one(x) % b), (lambda v: v % b)
         else:
-            residue, reduce = (lambda x: memo.residue(x, b)), (lambda v: reduce_mod_cyclotomic(v, b))
+            residue = lambda x: exponent_residue(exponents(x), b)
+            reduce = lambda v: reduce_mod_cyclotomic(v, b)
         box = tuple(b * (c + 1) - 1 for c in n_box)
-        count, _, bad = lucas_check(box, b, residue, memo.ratio_at_one, reduce)
+        count, _, bad = lucas_check(box, b, residue, ratio_at_one, reduce)
         checked += count
         failures += [CongruenceFailure(b, a, n, lhs, rhs) for a, n, _, lhs, rhs in bad]
     return checked, failures
@@ -242,10 +225,8 @@ def verify_ratio_congruence(
     one per modulus and per CPU; the merged report is identical to the
     serial one.
     """
-    n_box = _check_point(spec, n_box, "n_box")
-    _check_ints(b_max=b_max)
-    if b_max < 1:
-        raise ValueError("b_max must be >= 1")
+    n_box = _check_vector(n_box, spec.dim, "n_box")
+    _check_ints(b_max=(b_max, 1), jobs=(jobs, 1))
     _require_hypotheses(spec, "ratio congruence", subdomain=True)
     report = CongruenceReport(
         subject="ratio-congruence",
@@ -269,10 +250,8 @@ def verify_plucas_at_one(
     shape as verify_ratio_congruence; residues are reported as constant
     polynomials.
     """
-    n_box = _check_point(spec, n_box, "n_box")
-    _check_ints(p_max=p_max)
-    if p_max < 2:
-        raise ValueError("p_max must be >= 2")
+    n_box = _check_vector(n_box, spec.dim, "n_box")
+    _check_ints(p_max=(p_max, 2), jobs=(jobs, 1))
     _require_hypotheses(spec, "prime congruence", subdomain=True)
     primes = [p for p in range(2, p_max + 1) if _is_prime(p)]
     report = CongruenceReport(
@@ -294,10 +273,8 @@ def verify_inter2_identity(spec: RatioSpec, b: int, n_box: Sequence[int]) -> Con
     Needs only balance and integrality (the subdomain condition plays no
     role here).
     """
-    n_box = _check_point(spec, n_box, "n_box")
-    _check_ints(b=b)
-    if b < 1:
-        raise ValueError("b must be >= 1")
+    n_box = _check_vector(n_box, spec.dim, "n_box")
+    _check_ints(b=(b, 1))
     _require_hypotheses(spec, "scaled-point identity", subdomain=False)
     report = CongruenceReport(
         subject="inter2",
@@ -317,7 +294,7 @@ def verify_inter2_identity(spec: RatioSpec, b: int, n_box: Sequence[int]) -> Con
 # -- Apery-type q-analogues ----------------------------------------------------------------
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=512, typed=True)
 def apery_polynomial(family: str, t: int, n: int) -> IntPolynomial:
     """The degree-weighted Apery-type sum of kind 'a' or 'b' at n.
 
@@ -326,11 +303,11 @@ def apery_polynomial(family: str, t: int, n: int) -> IntPolynomial:
     That is sum_k q^(t k) qbinom(n, k)^2 qbinom(n+k, k)^r with r = 1 for 'a'
     and r = 2 for 'b', which the tests check. At q = 1 these collapse to the
     classical integer sequences (catalog.apery_number_sequence). The memo
-    keeps the 512 most recently used sums.
+    keeps the 512 most recently used sums; it is keyed by argument type too,
+    so that True is refused rather than read as the entry for 1.
     """
     spec = catalog.apery_family_spec(family)
-    if t < 0 or n < 0:
-        raise ValueError("t and n must be nonnegative")
+    _check_ints(t=(t, 0), n=(n, 0))
     value = total = ONE
     for k in range(1, n + 1):
         value = _ratio_step(spec, value, (k - 1, n - k + 1), (k, n - k))
@@ -368,9 +345,7 @@ def verify_apery(family: str, t: int, b_max: int, total_max: int) -> CongruenceR
     integer-only sequence values, so the check crosses two independent
     routes to the same numbers.
     """
-    _check_ints(t=t, b_max=b_max, total_max=total_max)
-    if b_max < 1 or total_max < 0:
-        raise ValueError("b_max must be >= 1 and total_max >= 0")
+    _check_ints(t=(t, 0), b_max=(b_max, 1), total_max=(total_max, 0))
     at_one = catalog.apery_number_sequence(family, total_max)
     report = CongruenceReport(
         subject=f"apery-{family}",

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .qcombinatorics import RatioSpec
+from .qcombinatorics import RatioSpec, _check_ints
 
 Vector = tuple[int, ...]
 Rational = Union[int, Fraction]
@@ -236,9 +236,10 @@ class SearchCounts:
 
 # Level d of a constraint system is the system over x_0..x_{d-1}: its
 # tightest constraint in each direction, keyed by the direction (the
-# coefficients over their gcd) and held with that gcd, and its lower and upper
-# bounds on x_{d-1}.
-Level = tuple[dict[Vector, tuple[Constraint, int]], tuple[Constraint, ...], tuple[Constraint, ...]]
+# coefficients over their gcd) and held with that gcd. A constraint bounds
+# x_{d-1} from below if its coefficient there is negative, from above if it
+# is positive.
+Level = dict[Vector, tuple[Constraint, int]]
 Levels = tuple[Level, ...]
 
 
@@ -258,10 +259,10 @@ def _extend(
     A level keeps one constraint per direction, the tightest: the smaller
     right-hand side over the gcd, the strict one on a tie. A new constraint
     that the level's bound in its direction dominates is dropped; one that
-    dominates that bound replaces it among the lower and upper bounds. Every
-    combination of a dropped bound is dominated by the same combination of
-    the bound that replaced it, so each level describes the same set, with
-    the same tightest bound per direction, as the levels without dropping.
+    dominates that bound replaces it. Every combination of a dropped bound
+    is dominated by the same combination of the bound that replaced it, so
+    each level describes the same set, with the same tightest bound per
+    direction, as the levels without dropping.
 
     Only the constraints a level keeps are carried down to the next: new
     lower bounds pair with every upper bound, new upper bounds with the old
@@ -274,7 +275,7 @@ def _extend(
     carried = [(con, math.gcd(*con[0])) for con in new]
     changed: list[Level] = []
     for d in range(len(levels) - 1, -1, -1):
-        tightest, lowers, uppers = levels[d]
+        tightest = levels[d]
         kept: dict[Vector, tuple[Constraint, int]] = {}
         for con, g in carried:
             coeffs, rhs, strict = con
@@ -295,10 +296,6 @@ def _extend(
         if not kept:
             return levels[: d + 1] + tuple(reversed(changed))
         charge(0, len(kept))
-        replaced = {tightest[key][0] for key in kept.keys() & tightest.keys()}
-        if replaced:
-            lowers = tuple(lo for lo in lowers if lo not in replaced)
-            uppers = tuple(up for up in uppers if up not in replaced)
         var = d - 1
         carried, new_lowers, new_uppers = [], [], []
         for con, g in kept.values():
@@ -308,10 +305,12 @@ def _extend(
                 new_uppers.append(con)
             else:
                 carried.append((con, g))
-        all_uppers = uppers + tuple(new_uppers)
-        carried += [_eliminate(lo, up, var) for lo in new_lowers for up in all_uppers]
-        carried += [_eliminate(lo, up, var) for lo in lowers for up in new_uppers]
-        changed.append(({**tightest, **kept}, lowers + tuple(new_lowers), all_uppers))
+        level = {**tightest, **kept}
+        uppers = [con for con, _ in level.values() if con[0][var] > 0]
+        old_lowers = [con for key, (con, _) in tightest.items() if con[0][var] < 0 and key not in kept]
+        carried += [_eliminate(lo, up, var) for lo in new_lowers for up in uppers]
+        carried += [_eliminate(lo, up, var) for lo in old_lowers for up in new_uppers]
+        changed.append(level)
     return tuple(reversed(changed))
 
 
@@ -327,18 +326,20 @@ def _witness(levels: Levels) -> tuple[Fraction, ...]:
     """
     nums: list[int] = []
     den = 1
-    for var, (_, lowers, uppers) in enumerate(levels[1:]):
+    for var, level in enumerate(levels[1:]):
         # coeffs . x <= rhs is tight at x_var = (rhs den - rest) / (coeffs[var] den)
-        lo_n, lo_c = None, 1
-        for coeffs, rhs, _ in lowers:
-            n, c = sum(map(operator.mul, coeffs, nums)) - rhs * den, -coeffs[var]
-            if lo_n is None or n * lo_c > lo_n * c:
-                lo_n, lo_c = n, c
-        up_n, up_c = None, 1
-        for coeffs, rhs, _ in uppers:
-            n, c = rhs * den - sum(map(operator.mul, coeffs, nums)), coeffs[var]
-            if up_n is None or n * up_c < up_n * c:
-                up_n, up_c = n, c
+        lo_n = up_n = None
+        lo_c = up_c = 1
+        for (coeffs, rhs, _), _ in level.values():
+            c = coeffs[var]
+            if c < 0:
+                n, c = sum(map(operator.mul, coeffs, nums)) - rhs * den, -c
+                if lo_n is None or n * lo_c > lo_n * c:
+                    lo_n, lo_c = n, c
+            elif c > 0:
+                n = rhs * den - sum(map(operator.mul, coeffs, nums))
+                if up_n is None or n * up_c < up_n * c:
+                    up_n, up_c = n, c
         # the midpoint (lo + up) / 2 in lowest terms, mid_n / mid_d
         mid_n, mid_d = lo_n * up_c + up_n * lo_c, 2 * lo_c * up_c * den
         g = math.gcd(mid_n, mid_d)
@@ -382,8 +383,7 @@ def enumerate_cells(
     DimensionTooLarge when exceeded; a budget below 1 is a ValueError. Both
     are tallied in counts, if given.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    _check_ints(budget=(budget, 1))
     vectors = sorted(spec.distinct_nonzero_vectors(), key=lambda t: (-sum(t), t))
     counts = counts if counts is not None else SearchCounts()
     results: list[CellSignature] = []
@@ -407,7 +407,7 @@ def enumerate_cells(
         for m in range(sum(t)):
             walk(idx + 1, assigned + [(t, m)], levels, _slab_constraints(t, m))
 
-    walk(0, [], (({}, (), ()),) * (spec.dim + 1), _box_constraints(spec.dim))
+    walk(0, [], ({},) * (spec.dim + 1), _box_constraints(spec.dim))
     return tuple(results)
 
 

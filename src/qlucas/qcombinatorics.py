@@ -32,6 +32,12 @@ Dividing last gives the same polynomial and the same fail-fast divisibility
 semantics as whole-factorial division: if the final ratio is a polynomial
 then so is every partial quotient, since it equals the final polynomial
 times the remaining denominator factors.
+
+Arguments are checked in one place for the whole library: every count a
+public call takes goes through _check_ints, which refuses a non-int or a
+bool, and a value below the count's lower bound, with a ValueError naming
+the count; every point, box or exponent vector goes through _check_vector.
+The intpoly kernels keep their own checks, since they sit on hot paths.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .intpoly import (
     ONE,
@@ -69,16 +75,25 @@ class NegativeExponent(ArithmeticError):
 Vector = tuple[int, ...]
 
 
-def _is_int(x: object) -> bool:
-    """x is an int and not a bool, so JSON true and false are not counts."""
-    return isinstance(x, int) and not isinstance(x, bool)
+def _check_ints(**counts: tuple[object, Optional[int]]) -> None:
+    """Raise a ValueError naming the first count that is not an int, or a
+    bool (JSON true and false are not counts), or is below its bound.
 
-
-def _check_ints(**counts: object) -> None:
-    """Raise a ValueError naming the first of the counts that is not an int."""
-    for name, x in counts.items():
-        if not _is_int(x):
+    Each count is given as (value, lowest allowed value or None).
+    """
+    for name, (x, low) in counts.items():
+        if not isinstance(x, int) or isinstance(x, bool):
             raise ValueError(f"{name} must be an integer, got {x!r}")
+        if low is not None and x < low:
+            raise ValueError(f"{name} must be >= {low}")
+
+
+def _check_vector(v: Sequence[int], length: int, name: str) -> Vector:
+    """v as a tuple, which must hold length nonnegative ints; name labels it in the error."""
+    v = tuple(v)
+    if len(v) != length or any(not isinstance(c, int) or isinstance(c, bool) or c < 0 for c in v):
+        raise ValueError(f"{name} {v} must be nonnegative integers of length {length}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -90,16 +105,9 @@ class RatioSpec:
     f: tuple[Vector, ...]
 
     def __post_init__(self):
-        if not _is_int(self.dim) or self.dim < 1:
-            raise ValueError("dim must be a positive integer")
+        _check_ints(dim=(self.dim, 1))
         for name in ("e", "f"):
-            vecs = getattr(self, name)
-            norm = tuple(tuple(v) for v in vecs)
-            for v in norm:
-                if len(v) != self.dim:
-                    raise ValueError(f"{name} vector {v} has length != dim={self.dim}")
-                if any(not _is_int(c) or c < 0 for c in v):
-                    raise ValueError(f"{name} vector {v} must have nonnegative integer entries")
+            norm = tuple(_check_vector(v, self.dim, f"{name} vector") for v in getattr(self, name))
             object.__setattr__(self, name, norm)
 
     @property
@@ -154,14 +162,6 @@ def dot(vec: Sequence[int], n: Sequence[int]) -> int:
     return sum(map(operator.mul, vec, n))
 
 
-def _check_point(spec: RatioSpec, n: Sequence[int], name: str = "point") -> Vector:
-    """n as a tuple of dim nonnegative integers; name labels it in the error."""
-    n = tuple(n)
-    if len(n) != spec.dim or any(not _is_int(c) or c < 0 for c in n):
-        raise ValueError(f"{name} {n} must be nonnegative integers of length {spec.dim}")
-    return n
-
-
 # -- one-dimensional building blocks ------------------------------------------
 
 
@@ -169,8 +169,9 @@ def q_binomial(n: int, k: int) -> IntPolynomial:
     """Gaussian binomial; zero when k < 0 or k > n.
 
     The binomial ratio (n1 + n2)! / (n1! n2!) stepped from the origin to
-    (k, n - k).
+    (k, n - k). Needs n >= 0.
     """
+    _check_ints(n=(n, 0), k=(k, None))
     if k < 0 or k > n:
         return ZERO
     return _ratio_step(_BINOMIAL, ONE, (0, 0), (k, n - k))
@@ -220,13 +221,13 @@ def q_ratio(spec: RatioSpec, n: Sequence[int]) -> IntPolynomial:
     factors divide exactly afterwards in decreasing degree order, so failures
     surface at the first non-integral quotient.
     """
-    n = _check_point(spec, n)
+    n = _check_vector(n, spec.dim, "point")
     return _ratio_step(spec, ONE, (0,) * spec.dim, n)
 
 
 def q_ratio_at_one(spec: RatioSpec, n: Sequence[int]) -> int:
     """The ratio specialized at q = 1: a quotient of ordinary factorials."""
-    n = _check_point(spec, n)
+    n = _check_vector(n, spec.dim, "point")
     num = math.prod(math.factorial(dot(t, n)) for t in spec.e)
     den = math.prod(math.factorial(dot(t, n)) for t in spec.f)
     quo, rem = divmod(num, den)
@@ -243,7 +244,7 @@ def cyclotomic_exponents(spec: RatioSpec, n: Sequence[int]) -> dict[int, int]:
     Raises NegativeExponent at the smallest c whose exponent is negative: the
     ratio is then not a polynomial.
     """
-    n = _check_point(spec, n)
+    n = _check_vector(n, spec.dim, "point")
     dots_e = [dot(t, n) for t in spec.e]
     dots_f = [dot(t, n) for t in spec.f]
     top = max(dots_e + dots_f, default=0)
@@ -280,7 +281,7 @@ def q_ratio_cyclotomic(spec: RatioSpec, n: Sequence[int]) -> IntPolynomial:
 
 def ratio_degree(spec: RatioSpec, n: Sequence[int]) -> int:
     """Degree of the ratio at n (deg [m]_q! = m(m-1)/2); may be negative."""
-    n = _check_point(spec, n)
+    n = _check_vector(n, spec.dim, "point")
     tri = lambda m: m * (m - 1) // 2
     return sum(tri(dot(t, n)) for t in spec.e) - sum(tri(dot(t, n)) for t in spec.f)
 
@@ -291,8 +292,7 @@ def q_ratio_mod(spec: RatioSpec, n: Sequence[int], b: int) -> IntPolynomial:
     Raises NegativeExponent, at every b, if the ratio is not a polynomial at
     n. At b = 1 the residue is the value at q = 1.
     """
-    if b < 1:
-        raise ValueError("modulus index must be >= 1")
+    _check_ints(b=(b, 1))
     return exponent_residue(cyclotomic_exponents(spec, n), b)
 
 
@@ -376,7 +376,7 @@ def q_ratio_box(spec: RatioSpec, cap: Sequence[int]) -> dict[Vector, IntPolynomi
     Raises NotDivisible at the first point where the ratio fails to be a
     polynomial.
     """
-    cap = _check_point(spec, cap, "cap")
+    cap = _check_vector(cap, spec.dim, "cap")
     out: dict[Vector, IntPolynomial] = {}
     for n in iter_box(cap):
         if not any(n):

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
+from .qcombinatorics import _check_ints
 from .series import InsufficientTruncation
 
 Number = Union[int, Fraction]
@@ -240,10 +241,7 @@ def find_relations(
     certifies full column rank. Raises OrderTooSmall if the data or the
     requested order leaves fewer than ncols + margin equations.
     """
-    if dx < 0 or dy < 0:
-        raise ValueError("dx and dy must be nonnegative")
-    if margin < 0:
-        raise ValueError("margin must be nonnegative")
+    _check_ints(dx=(dx, 0), dy=(dy, 0), order=(order, 0), margin=(margin, 0))
     _validate_series(series, order, OrderTooSmall)
     monomials = _monomials(len(series), dx, dy)
     ncols = len(monomials)
@@ -278,6 +276,7 @@ def verify_relation(
     order: int,
 ) -> bool:
     """Whether the candidate annihilates the sequences through `order`."""
+    _check_ints(order=(order, 0))
     if not cand.terms:
         raise ValueError("empty candidate")
     if cand.num_series != len(series):

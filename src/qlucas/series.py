@@ -34,7 +34,7 @@ from .congruence import (
 )
 from .intpoly import IntPolynomial
 from .landau import check_landau
-from .qcombinatorics import RatioSpec, _check_ints, _is_int, dot, iter_box, q_ratio_box
+from .qcombinatorics import RatioSpec, _check_ints, _check_vector, dot, iter_box, q_ratio_box
 
 Vector = tuple[int, ...]
 
@@ -56,16 +56,11 @@ class TruncatedSeries:
     coeffs: dict[Vector, IntPolynomial]
 
     def __post_init__(self):
-        if not _is_int(self.num_vars) or self.num_vars < 1:
-            raise ValueError("num_vars must be a positive integer")
-        cap = tuple(self.cap)
-        if len(cap) != self.num_vars or any(not _is_int(c) or c < 0 for c in cap):
-            raise ValueError(f"cap {cap} must be nonnegative integers of length {self.num_vars}")
+        _check_ints(num_vars=(self.num_vars, 1))
+        cap = _check_vector(self.cap, self.num_vars, "cap")
         clean: dict[Vector, IntPolynomial] = {}
         for n, c in self.coeffs.items():
-            n = tuple(n)
-            if len(n) != self.num_vars or any(not _is_int(i) or i < 0 for i in n):
-                raise ValueError(f"exponent {n} must be nonnegative integers of length {self.num_vars}")
+            n = _check_vector(n, self.num_vars, "exponent")
             if any(ni > capi for ni, capi in zip(n, cap)):
                 raise ValueError(f"exponent {n} exceeds cap {cap}")
             if not isinstance(c, IntPolynomial):
@@ -169,16 +164,10 @@ def specialize(
     the source cap for all N <= order; in particular every m_j must be
     positive, else infinitely many exponents fold onto the same power.
     """
-    t = tuple(t)
-    m = tuple(m)
     d = series.num_vars
-    if len(t) != d or any(not _is_int(c) or c < 0 for c in t):
-        raise ValueError(f"t {t} must be nonnegative integers of length {d}")
-    if len(m) != d or any(not _is_int(c) or c < 0 for c in m):
-        raise ValueError(f"m {m} must be nonnegative integers of length {d}")
-    _check_ints(order=order)
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    t = _check_vector(t, d, "t")
+    m = _check_vector(m, d, "m")
+    _check_ints(order=(order, 0))
     for j in range(d):
         if m[j] == 0:
             raise InsufficientTruncation(
@@ -215,11 +204,7 @@ def extract_cofactor(
     """
     if fq.num_vars != 1:
         raise ValueError("extract_cofactor needs a one-variable series")
-    _check_ints(b=b, order=order)
-    if b < 1:
-        raise ValueError("b must be >= 1")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    _check_ints(b=(b, 1), order=(order, 0))
     if not g1 or g1[0] != 1:
         raise ValueError("the sequence must start with 1")
     if fq.cap[0] < order:
@@ -247,13 +232,9 @@ def verify_definition_Ld(
     most `order` are checked and failures carry the offending exponent.
     Needs an integer-coefficient series with constant term 1.
     """
-    _check_ints(p=p, k=k, order=order)
+    _check_ints(p=(p, None), k=(k, 1), order=(order, 0))
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
     d = g.num_vars
     if any(c < order for c in g.cap):
         raise InsufficientTruncation(f"series cap {g.cap} is below order {order}")

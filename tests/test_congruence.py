@@ -18,7 +18,7 @@ from qlucas.congruence import (
 )
 from qlucas.intpoly import IntPolynomial, cyclotomic, reduce_mod_cyclotomic
 from qlucas.landau import check_landau
-from qlucas.qcombinatorics import RatioSpec, iter_box, q_binomial, q_ratio, q_ratio_mod
+from qlucas.qcombinatorics import RatioSpec, iter_box, q_binomial
 from oracles import congruent_mod_cyclotomic
 from strategies import balanced_specs
 
@@ -84,14 +84,28 @@ class TestVerifyRatioCongruence:
 
 
 class TestPointMemo:
-    def test_matches_polynomial_routes(self):
-        memo = congruence._PointMemo(APERY)
-        for _ in range(2):  # the second round reads the memo
-            for n in iter_box((4, 4)):
-                assert memo.ratio_at_one(n) == q_ratio(APERY, n).eval_at_one(), n
-                for b in (1, 2, 3, 6):
-                    assert memo.residue(n, b) == q_ratio_mod(APERY, n, b), (n, b)
-        assert len(memo.at_one) == len(memo.exponents) == 25
+    @pytest.mark.parametrize(
+        "sweep, exponent_box, at_one_box",
+        [
+            # moduli 1..4: points up to 4 * 3 - 1 per axis, q = 1 only at steps n
+            (lambda: verify_ratio_congruence(APERY, 4, (2, 2)), (11, 11), (2, 2)),
+            # primes 2, 3, 5: points up to 5 * 3 - 1, all of them at q = 1
+            (lambda: verify_plucas_at_one(APERY, 5, (2, 2)), None, (14, 14)),
+        ],
+        ids=["ratio", "plucas"],
+    )
+    def test_sweep_computes_each_point_once(self, monkeypatch, sweep, exponent_box, at_one_box):
+        calls = {"cyclotomic_exponents": [], "q_ratio_at_one": []}
+        for name in calls:
+            def counted(spec, n, exact=getattr(congruence, name), seen=calls[name]):
+                seen.append(n)
+                return exact(spec, n)
+
+            monkeypatch.setattr(congruence, name, counted)
+        assert sweep().ok
+        expected = list(iter_box(exponent_box)) if exponent_box else []
+        assert sorted(calls["cyclotomic_exponents"]) == expected
+        assert sorted(calls["q_ratio_at_one"]) == list(iter_box(at_one_box))
 
 
 @pytest.fixture
@@ -170,13 +184,13 @@ class TestLucasCheck:
 
 
 def off_by_one_at_two(monkeypatch):
-    """Make the memo's q = 1 value wrong at the point (2,) only."""
-    exact = congruence._PointMemo.ratio_at_one
+    """Make the sweeps' q = 1 value wrong at the point (2,) only."""
+    exact = congruence.q_ratio_at_one
 
-    def ratio_at_one(self, n):
-        return exact(self, n) + (n == (2,))
+    def ratio_at_one(spec, n):
+        return exact(spec, n) + (n == (2,))
 
-    monkeypatch.setattr(congruence._PointMemo, "ratio_at_one", ratio_at_one)
+    monkeypatch.setattr(congruence, "q_ratio_at_one", ratio_at_one)
 
 
 def failure_records(report):

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from qlucas import catalog, qcombinatorics
 from qlucas.congruence import (
+    apery_polynomial,
     verify_apery,
     verify_inter2_identity,
     verify_plucas_at_one,
     verify_ratio_congruence,
 )
 from qlucas.intpoly import IntPolynomial, NotDivisible, cyclotomic, reduce_mod_cyclotomic
+from qlucas.landau import check_landau, enumerate_cells
 from qlucas.qcombinatorics import (
     NegativeExponent,
     RatioSpec,
@@ -31,6 +33,7 @@ from qlucas.qcombinatorics import (
     q_ratio_mod,
     ratio_degree,
 )
+from qlucas.relations import RelationCandidate, find_relations, verify_relation
 from qlucas.series import TruncatedSeries, extract_cofactor, specialize, verify_definition_Ld
 from oracles import divide_monic, exponent_residue_unpooled, q_factorial, q_integer
 from strategies import balanced_specs
@@ -373,6 +376,9 @@ class TestRouteProperties:
 
 
 SERIES_1D = TruncatedSeries.from_coefficients([1, 2, 3, 4])
+GEOMETRIC = [catalog.geometric_sequence(30)]
+# 1 - y + x y annihilates y = 1 / (1 - x)
+GEOMETRIC_RELATION = RelationCandidate((((0, 0), 1), ((0, 1), -1), ((1, 1), 1)), 30)
 
 # Every public call that takes a lattice point, box or exponent vector. A bool
 # passes isinstance(c, int), so each must refuse it explicitly.
@@ -411,6 +417,25 @@ COUNT_ARGUMENTS = {
     "verify_apery-t": lambda v: verify_apery("a", v, 2, 3),
     "verify_apery-b_max": lambda v: verify_apery("a", 0, v, 3),
     "verify_apery-total_max": lambda v: verify_apery("a", 0, 2, v),
+    "verify_ratio_congruence-jobs": lambda v: verify_ratio_congruence(CENTRAL, 2, (2,), jobs=v),
+    "verify_plucas_at_one-jobs": lambda v: verify_plucas_at_one(CENTRAL, 2, (2,), jobs=v),
+    "check_landau-budget": lambda v: check_landau(CENTRAL, budget=v),
+    "enumerate_cells-budget": lambda v: enumerate_cells(CENTRAL, budget=v),
+    "q_ratio_mod-b": lambda v: q_ratio_mod(CENTRAL, (2,), v),
+    "apery_polynomial-t": lambda v: apery_polynomial("a", v, 2),
+    # n = 1 is cached first: the memo must not answer for True
+    "apery_polynomial-n": lambda v: (apery_polynomial("a", 0, 1), apery_polynomial("a", 0, v)),
+    "find_relations-dx": lambda v: find_relations(GEOMETRIC, v, 1, 20),
+    "find_relations-dy": lambda v: find_relations(GEOMETRIC, 1, v, 20),
+    "find_relations-order": lambda v: find_relations(GEOMETRIC, 1, 1, v),
+    "find_relations-margin": lambda v: find_relations(GEOMETRIC, 1, 1, 20, v),
+    "verify_relation-order": lambda v: verify_relation(GEOMETRIC_RELATION, GEOMETRIC, v),
+    "q_binomial-n": lambda v: q_binomial(v, 1),
+    "q_binomial-k": lambda v: q_binomial(4, v),
+    "RatioSpec-dim": lambda v: RatioSpec(v, ((2,),), ((1,), (1,))),
+    "TruncatedSeries-num_vars": lambda v: TruncatedSeries(v, (1,), {}),
+    "central_binomial_spec-r": lambda v: catalog.central_binomial_spec(v),
+    "binomial_spec-r": lambda v: catalog.binomial_spec(v),
 }
 
 
@@ -420,6 +445,46 @@ def test_counts_refuse_bools_and_non_integers(entry, bad):
     name = entry.split("-")[1]
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
         COUNT_ARGUMENTS[entry](bad)
+
+
+# The lowest value of each bounded count in COUNT_ARGUMENTS.
+LOWER_BOUNDS = {
+    "specialize-order": 0,
+    "extract_cofactor-b": 1,
+    "extract_cofactor-order": 0,
+    "verify_definition_Ld-k": 1,
+    "verify_definition_Ld-order": 0,
+    "verify_ratio_congruence-b_max": 1,
+    "verify_plucas_at_one-p_max": 2,
+    "verify_inter2_identity-b": 1,
+    "verify_apery-t": 0,
+    "verify_apery-b_max": 1,
+    "verify_apery-total_max": 0,
+    "verify_ratio_congruence-jobs": 1,
+    "verify_plucas_at_one-jobs": 1,
+    "check_landau-budget": 1,
+    "enumerate_cells-budget": 1,
+    "q_ratio_mod-b": 1,
+    "apery_polynomial-t": 0,
+    "apery_polynomial-n": 0,
+    "find_relations-dx": 0,
+    "find_relations-dy": 0,
+    "find_relations-order": 0,
+    "find_relations-margin": 0,
+    "verify_relation-order": 0,
+    "q_binomial-n": 0,
+    "RatioSpec-dim": 1,
+    "TruncatedSeries-num_vars": 1,
+    "central_binomial_spec-r": 1,
+    "binomial_spec-r": 1,
+}
+
+
+@pytest.mark.parametrize("entry", LOWER_BOUNDS)
+def test_counts_refuse_values_below_their_bound(entry):
+    name, low = entry.split("-")[1], LOWER_BOUNDS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be >= {low}$"):
+        COUNT_ARGUMENTS[entry](low - 1)
 
 
 class TestQRatioBox:
