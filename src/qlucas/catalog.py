@@ -81,16 +81,19 @@ def builtin_spec(name: str) -> RatioSpec:
 
 def central_power_sequence(r: int, order: int) -> list[int]:
     """binomial(2n, n)^r for n = 0..order."""
+    _check_ints(r=(r, 1), order=(order, 0))
     return [math.comb(2 * n, n) ** r for n in range(order + 1)]
 
 
 def gaussian_central_sequence(r: int, order: int, qval: Number) -> list[Number]:
     """q-binomial(2n, n)^r evaluated at a fixed rational q, n = 0..order."""
+    _check_ints(r=(r, 1), order=(order, 0))
     return [q_binomial(2 * n, n).evaluate(qval) ** r for n in range(order + 1)]
 
 
 def apery_number_sequence(family: str, order: int) -> list[int]:
     """The q = 1 Apery-type numbers of kind 'a' or 'b', n = 0..order."""
+    _check_ints(order=(order, 0))
     if family not in ("a", "b"):
         raise ValueError("family must be 'a' or 'b'")
     out = []
@@ -106,10 +109,12 @@ def apery_number_sequence(family: str, order: int) -> list[int]:
 
 
 def factorial_sequence(order: int) -> list[int]:
+    _check_ints(order=(order, 0))
     return [math.factorial(n) for n in range(order + 1)]
 
 
 def geometric_sequence(order: int) -> list[int]:
+    _check_ints(order=(order, 0))
     return [1] * (order + 1)
 
 
@@ -118,7 +123,7 @@ def builtin_sequence(name: str, order: int, qval: Number = 1) -> list[Number]:
 
     Names: g1, g2, ... (central binomial powers at q = 1), f1, f2, ...
     (q-binomial central powers at the given q), apery-a, apery-b, factorial,
-    geometric.
+    geometric. order is checked by the builder the name selects.
     """
     if name == "factorial":
         return factorial_sequence(order)

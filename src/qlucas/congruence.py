@@ -13,7 +13,11 @@ Residues modulo cyclotomic(b) come from the cyclotomic exponent vector of
 each point and values at q = 1 from integer factorials; no full ratio
 polynomial is built. A sweep over many moduli memoizes both per point for
 the length of the call, in two functools.cache wrappers, since a point
-a + n b recurs for every b it can be written at.
+a + n b recurs for every b it can be written at. The residue itself is
+memoized by qcombinatorics for the whole process, keyed by the exponent
+vector and b, so a sweep that repeats an earlier one's moduli (a larger
+b_max, or verify_inter2_identity at the same scaled points) reuses its
+residues.
 
 Counts and boxes are checked before the hypotheses, by
 qcombinatorics._check_ints and _check_vector: a bool or non-integer, or a

@@ -297,6 +297,54 @@ class TestResiduePowerCache:
             cache.clear()
 
 
+class TestWholeResidueMemo:
+    # The residue of a whole exponent vector is memoized next to the base
+    # residues and powers; the oracle is the full cyclotomic product, reduced.
+    @given(
+        balanced_specs(),
+        st.lists(st.integers(0, 6), min_size=2, max_size=2),
+        st.integers(1, 12),
+        st.integers(1, 6),
+    )
+    def test_matches_oracle_cold_warm_and_after_overflow(self, spec, coords, b, cap):
+        n = tuple(coords[: spec.dim])
+        try:
+            expected = {m: reduce_mod_cyclotomic(q_ratio_cyclotomic(spec, n), m) for m in range(1, b + 1)}
+        except NegativeExponent:
+            assume(False)
+        cache = qcombinatorics._residue_power_cache
+        try:
+            cache.clear()
+            assert q_ratio_mod(spec, n, b) == expected[b]
+            assert q_ratio_mod(spec, n, b) == expected[b]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(qcombinatorics, "_RESIDUE_POWER_CACHE_MAX", cap)
+                cache.clear()
+                for _ in range(2):
+                    for m in range(1, b + 1):
+                        assert q_ratio_mod(spec, n, m) == expected[m], m
+                        assert len(cache) <= cap
+        finally:
+            cache.clear()
+
+    @given(balanced_specs(), st.lists(st.integers(0, 6), min_size=2, max_size=2), st.integers(1, 20), st.data())
+    def test_item_order_does_not_change_the_residue(self, spec, coords, b, data):
+        try:
+            exponents = cyclotomic_exponents(spec, coords[: spec.dim])
+        except NegativeExponent:
+            assume(False)
+        shuffled = dict(data.draw(st.permutations(list(exponents.items()))))
+        expected = exponent_residue_unpooled(exponents, b)
+        cache = qcombinatorics._residue_power_cache
+        try:
+            cache.clear()
+            assert exponent_residue(exponents, b) == expected
+            assert exponent_residue(shuffled, b) == expected
+            assert exponent_residue(exponents, b) == expected
+        finally:
+            cache.clear()
+
+
 class TestPooledResidue:
     def test_shared_base_residue_is_pooled(self):
         # At (3, 3) the Apery exponents are {2: 2, 4: 3, 5: 2, 6: 2, 7: 1, 8: 1, 9: 1}.
@@ -436,6 +484,14 @@ COUNT_ARGUMENTS = {
     "TruncatedSeries-num_vars": lambda v: TruncatedSeries(v, (1,), {}),
     "central_binomial_spec-r": lambda v: catalog.central_binomial_spec(v),
     "binomial_spec-r": lambda v: catalog.binomial_spec(v),
+    "central_power_sequence-r": lambda v: catalog.central_power_sequence(v, 2),
+    "central_power_sequence-order": lambda v: catalog.central_power_sequence(1, v),
+    "gaussian_central_sequence-r": lambda v: catalog.gaussian_central_sequence(v, 2, 2),
+    "gaussian_central_sequence-order": lambda v: catalog.gaussian_central_sequence(1, v, 2),
+    "apery_number_sequence-order": lambda v: catalog.apery_number_sequence("a", v),
+    "factorial_sequence-order": lambda v: catalog.factorial_sequence(v),
+    "geometric_sequence-order": lambda v: catalog.geometric_sequence(v),
+    "builtin_sequence-order": lambda v: catalog.builtin_sequence("g1", v),
 }
 
 
@@ -477,6 +533,14 @@ LOWER_BOUNDS = {
     "TruncatedSeries-num_vars": 1,
     "central_binomial_spec-r": 1,
     "binomial_spec-r": 1,
+    "central_power_sequence-r": 1,
+    "central_power_sequence-order": 0,
+    "gaussian_central_sequence-r": 1,
+    "gaussian_central_sequence-order": 0,
+    "apery_number_sequence-order": 0,
+    "factorial_sequence-order": 0,
+    "geometric_sequence-order": 0,
+    "builtin_sequence-order": 0,
 }
 
 
