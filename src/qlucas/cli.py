@@ -331,17 +331,17 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("cyclotomic", _cmd_cyclotomic, "compute one cyclotomic polynomial")
-    p.add_argument("b", type=int)
+    p.add_argument("b", type=_positive_int)
 
     p = add("qbinom", _cmd_qbinom, "compute a Gaussian binomial coefficient")
     p.add_argument("n", type=_nonnegative_int)
     p.add_argument("k", type=int)
-    p.add_argument("--mod", type=int, help="reduce modulo this cyclotomic index")
+    p.add_argument("--mod", type=_positive_int, help="reduce modulo this cyclotomic index")
 
     p = add("qratio", _cmd_qratio, "evaluate a q-factorial ratio at a lattice point")
     p.add_argument("--spec", required=True, help="JSON file or built-in spec name")
     p.add_argument("--point", type=_csv_ints, required=True)
-    p.add_argument("--mod", type=int, help="reduce modulo this cyclotomic index")
+    p.add_argument("--mod", type=_positive_int, help="reduce modulo this cyclotomic index")
     p.add_argument("--at-one", action="store_true", help="integer value at q = 1")
 
     p = add("check-landau", _cmd_check_landau, "decide the step-function hypotheses")
@@ -350,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("verify-congruence", _cmd_verify_congruence, "sweep the ratio congruence")
     p.add_argument("--spec", required=True)
-    p.add_argument("--b-max", type=int, required=True)
+    p.add_argument("--b-max", type=_positive_int, required=True)
     p.add_argument("--n-box", type=_csv_ints, required=True)
     p.add_argument("--jobs", type=int)
 
@@ -362,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("verify-inter2", _cmd_verify_inter2, "sweep the multiple-point identity")
     p.add_argument("--spec", required=True)
-    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--b", type=_positive_int, required=True)
     p.add_argument("--n-box", type=_csv_ints, required=True)
 
     p = add("build-series", _cmd_build_series, "tabulate the generating series")
@@ -380,12 +380,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_csv_ints)
     p.add_argument("--m", type=_csv_ints)
     p.add_argument("--order", type=_nonnegative_int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--b", type=_positive_int, required=True)
 
     p = add("verify-apery", _cmd_verify_apery, "sweep the Apery-type congruence")
     p.add_argument("--family", choices=("a", "b"), required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--b-max", type=int, required=True)
+    p.add_argument("--b-max", type=_positive_int, required=True)
     p.add_argument("--n-max", type=_nonnegative_int, required=True)
 
     p = add("verify-ld", _cmd_verify_ld, "decide the mod-p functional equation class")

@@ -17,7 +17,10 @@ a + n b recurs for every b it can be written at. The residue itself is
 memoized by qcombinatorics for the whole process, keyed by the exponent
 vector and b, so a sweep that repeats an earlier one's moduli (a larger
 b_max, or verify_inter2_identity at the same scaled points) reuses its
-residues.
+residues. The Apery-type sums keep two process-wide memos: the 512 most
+recently used sums, and one slot with the last row of summands built, for
+one family and n, from which the next n of that family steps (see
+apery_polynomial).
 
 Counts and boxes are checked before the hypotheses, by
 qcombinatorics._check_ints and _check_vector: a bool or non-integer, or a
@@ -32,6 +35,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cache, lru_cache, partial
+from operator import add
 from typing import Callable, Optional, Sequence
 
 from . import catalog
@@ -298,25 +302,62 @@ def verify_inter2_identity(spec: RatioSpec, b: int, n_box: Sequence[int]) -> Con
 # -- Apery-type q-analogues ----------------------------------------------------------------
 
 
+# The last row of summands built by _apery_row, as (family, n, row), or None.
+_last_row: Optional[tuple[str, int, tuple[IntPolynomial, ...]]] = None
+
+
+def _apery_row(family: str, n: int) -> tuple[IntPolynomial, ...]:
+    """The summands [Q(k, n - k) for k <= n] of the family's ratio Q.
+
+    Steps each entry of row n - 1 when that was the last row built, else
+    walks the antidiagonal from (0, n), where Q is 1. The slot is emptied
+    before stepping and refilled only with a complete row, so an exception
+    or a concurrent call can cost a cold walk but never reuse a partial row.
+    """
+    global _last_row
+    spec = catalog.apery_family_spec(family)
+    held, _last_row = _last_row, None
+    if held is not None and held[:2] == (family, n - 1):
+        prev = held[2]
+        row = [_ratio_step(spec, v, (k, n - 1 - k), (k, n - k)) for k, v in enumerate(prev)]
+        row.append(_ratio_step(spec, prev[-1], (n - 1, 0), (n, 0)))
+    else:
+        row = [ONE]
+        for k in range(1, n + 1):
+            row.append(_ratio_step(spec, row[-1], (k - 1, n - k + 1), (k, n - k)))
+    _last_row = (family, n, tuple(row))
+    return _last_row[2]
+
+
 @lru_cache(maxsize=512, typed=True)
 def apery_polynomial(family: str, t: int, n: int) -> IntPolynomial:
     """The degree-weighted Apery-type sum of kind 'a' or 'b' at n.
 
     Sums q^(t k) times the family's ratio (catalog.apery_family_spec) at
-    (k, n - k), stepping along the antidiagonal from (0, n), where it is 1.
-    That is sum_k q^(t k) qbinom(n, k)^2 qbinom(n+k, k)^r with r = 1 for 'a'
-    and r = 2 for 'b', which the tests check. At q = 1 these collapse to the
-    classical integer sequences (catalog.apery_number_sequence). The memo
-    keeps the 512 most recently used sums; it is keyed by argument type too,
-    so that True is refused rather than read as the entry for 1.
+    (k, n - k). That is sum_k q^(t k) qbinom(n, k)^2 qbinom(n+k, k)^r with
+    r = 1 for 'a' and r = 2 for 'b', which the tests check. At q = 1 these
+    collapse to the classical integer sequences
+    (catalog.apery_number_sequence).
+
+    The summands do not depend on t. One module-level slot keeps the last
+    row of them built, for one family and n (_apery_row). A call for n
+    right after n - 1 of the same family steps each summand down a row,
+    from (k, n - 1 - k) to (k, n - k), at most 4 (1 - q^k) factors each, and
+    the new end one from (n - 1, 0) to (n, 0). Any other call walks the
+    antidiagonal cold from (0, n), at 6 ('a') or 8 ('b') factors a step.
+    verify_apery builds n in ascending order, so each of its builds after
+    the first steps. The sum adds the shifted summands into one coefficient
+    list. The memo of sums keeps the 512 most recently used; it is keyed by
+    argument type too, so that True is refused rather than read as the
+    entry for 1.
     """
-    spec = catalog.apery_family_spec(family)
     _check_ints(t=(t, 0), n=(n, 0))
-    value = total = ONE
-    for k in range(1, n + 1):
-        value = _ratio_step(spec, value, (k - 1, n - k + 1), (k, n - k))
-        total = total + value.shift(t * k)
-    return total
+    row = _apery_row(family, n)
+    total = [0] * max(t * k + len(v.coeffs) for k, v in enumerate(row))
+    for k, v in enumerate(row):
+        lo, hi = t * k, t * k + len(v.coeffs)
+        total[lo:hi] = map(add, total[lo:hi], v.coeffs)
+    return IntPolynomial(total)
 
 
 def check_cofactor(

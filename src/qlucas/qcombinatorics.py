@@ -31,7 +31,8 @@ it nets the factors whose counts change between them, multiplies the gained
 ones in ascending k and then divides the lost ones largest k first. q_ratio
 is the step from the origin, q_binomial the step from the origin to
 (k, n - k) on the two-variable binomial spec, q_ratio_box steps each point
-from its predecessor, and the Apery-type sums step along an antidiagonal.
+from its predecessor, and the Apery-type sums step each summand from the
+row before, or along an antidiagonal.
 Dividing last gives the same polynomial and the same fail-fast divisibility
 semantics as whole-factorial division: if the final ratio is a polynomial
 then so is every partial quotient, since it equals the final polynomial

@@ -244,6 +244,24 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert f"argument --budget: expected a positive integer, got '{budget}'" in err
 
+    @pytest.mark.parametrize("command, flag", [
+        (["cyclotomic"], "b"),
+        (["qbinom", "5", "2", "--mod"], "--mod"),
+        (["qratio", "--spec", "central", "--point", "3", "--mod"], "--mod"),
+        (["verify-congruence", "--spec", "central", "--n-box", "2", "--b-max"], "--b-max"),
+        (["verify-apery", "--family", "a", "--t", "1", "--n-max", "4", "--b-max"], "--b-max"),
+        (["verify-inter2", "--spec", "central", "--n-box", "2", "--b"], "--b"),
+        (["extract-cofactor", "--spec", "central", "--order", "4", "--b"], "--b"),
+    ], ids=lambda value: value[0] if isinstance(value, list) else value)
+    def test_modulus_below_one(self, capsys, command, flag):
+        # argparse refuses the value and names the flag; the library's
+        # message would name its own argument instead.
+        for value in ("0", "-1"):
+            code, out, err = run(capsys, command + [value])
+            assert (code, out) == (2, "")
+            assert err.startswith(f"usage: qlucas {command[0]} ")
+            assert err.endswith(f"argument {flag}: expected a positive integer, got '{value}'\n")
+
     @pytest.mark.parametrize("command", [
         ["verify-congruence", "--spec", "central", "--b-max", "3", "--n-box", "2"],
         ["verify-plucas", "--spec", "central", "--p-max", "3", "--n-box", "2"],

@@ -1,12 +1,13 @@
 """congruence tests: known-true sweeps, gate enforcement, dual-route values."""
 
 import concurrent.futures
+import functools
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qlucas import catalog, congruence
+from qlucas import catalog, congruence, qcombinatorics
 from qlucas.congruence import (
     CongruenceFailure,
     HypothesisViolated,
@@ -281,23 +282,97 @@ class TestVerifyInter2:
             verify_inter2_identity(INVERSE, 3, (2,))
 
 
+@functools.cache
+def gaussian_summand(family, n, k):
+    """qbinom(n, k)^2 qbinom(n+k, k)^r, r = 1 for kind 'a' and 2 for kind 'b'."""
+    mixed = q_binomial(n + k, k)
+    return q_binomial(n, k) ** 2 * (mixed if family == "a" else mixed * mixed)
+
+
 def gaussian_apery(family, t, n):
-    """Independent oracle: sum_k q^(t k) qbinom(n, k)^2 qbinom(n+k, k)^r,
-    r = 1 for kind 'a' and 2 for kind 'b'."""
+    """Independent oracle: sum_k q^(t k) times the summand at k."""
     total = P(())
     for k in range(n + 1):
-        mixed = q_binomial(n + k, k)
-        term = q_binomial(n, k) ** 2 * (mixed if family == "a" else mixed * mixed)
-        total = total + term.shift(t * k)
+        total = total + gaussian_summand(family, n, k).shift(t * k)
     return total
 
 
+APERY_KEYS = [(family, t, n) for family in ("a", "b") for t in range(4) for n in range(17)]
+
+
+@pytest.fixture(scope="module")
+def apery_oracle():
+    return {key: gaussian_apery(*key) for key in APERY_KEYS}
+
+
+def assert_slot_holds_one_row():
+    """The row slot is empty or holds one complete, correct row."""
+    if congruence._last_row is None:
+        return
+    family, n, row = congruence._last_row
+    assert row == tuple(gaussian_summand(family, n, k) for k in range(n + 1))
+
+
 class TestApery:
-    def test_matches_gaussian_binomial_sum(self):
-        for family in ("a", "b"):
-            for t in range(4):
-                for n in range(17):
-                    assert apery_polynomial(family, t, n) == gaussian_apery(family, t, n), (family, t, n)
+    def test_matches_gaussian_binomial_sum(self, apery_oracle):
+        # The row slot steps only from n - 1 to n of one family: ascending
+        # builds step, descending ones walk cold, and interleaving the
+        # families makes each call find the other family's row.
+        interleaved = sorted(APERY_KEYS, key=lambda key: (key[1], key[2], key[0]))
+        for keys in (APERY_KEYS, APERY_KEYS[::-1], interleaved):
+            apery_polynomial.cache_clear()
+            for key in keys:
+                assert apery_polynomial(*key) == apery_oracle[key], key
+                assert_slot_holds_one_row()
+        apery_polynomial.cache_clear()
+
+    def test_failed_row_step_is_not_reused(self, monkeypatch, apery_oracle):
+        real_step = congruence._ratio_step
+        calls = 0
+
+        def failing_step(*args):
+            nonlocal calls
+            calls += 1
+            if calls == 40:
+                raise RuntimeError("injected")
+            return real_step(*args)
+
+        apery_polynomial.cache_clear()
+        monkeypatch.setattr(congruence, "_ratio_step", failing_step)
+        with pytest.raises(RuntimeError, match="injected"):
+            for n in range(17):
+                apery_polynomial("b", 1, n)
+        assert congruence._last_row is None
+        monkeypatch.setattr(congruence, "_ratio_step", real_step)
+        for key in APERY_KEYS:
+            assert apery_polynomial(*key) == apery_oracle[key], key
+        assert_slot_holds_one_row()
+        apery_polynomial.cache_clear()
+
+    def test_ascending_build_steps_rows(self, monkeypatch):
+        calls = 0
+
+        def counted(kernel):
+            def wrapper(*args):
+                nonlocal calls
+                calls += 1
+                return kernel(*args)
+
+            return wrapper
+
+        for name in ("mul_one_minus_qk", "div_one_minus_qk_exact"):
+            monkeypatch.setattr(qcombinatorics, name, counted(getattr(qcombinatorics, name)))
+        # Descending, no call finds the row of n - 1, so each walks cold.
+        results, counts = [], []
+        for order in (range(13), range(12, -1, -1)):
+            apery_polynomial.cache_clear()
+            monkeypatch.setattr(congruence, "_last_row", None)
+            calls = 0
+            results.append({n: apery_polynomial("b", 1, n) for n in order})
+            counts.append(calls)
+        apery_polynomial.cache_clear()
+        assert results[0] == results[1]
+        assert counts[0] < counts[1]
 
     def test_polynomial_frozen(self):
         assert apery_polynomial("a", 0, 0) == P((1,))
