@@ -39,7 +39,7 @@ from .congruence import (
     verify_plucas_at_one,
     verify_ratio_congruence,
 )
-from .intpoly import IntPolynomial, NotDivisible, cyclotomic, reduce_mod_cyclotomic
+from .intpoly import IntPolynomial, NotDivisible, cyclotomic
 from .landau import DEFAULT_BUDGET, DimensionTooLarge, check_landau
 from .qcombinatorics import NegativeExponent, RatioSpec, q_binomial, q_ratio, q_ratio_at_one, q_ratio_mod
 from .relations import DEFAULT_MARGIN, find_relations, verify_relation
@@ -207,10 +207,12 @@ def _cmd_cyclotomic(args):
 
 
 def _cmd_qbinom(args):
-    poly = q_binomial(args.n, args.k)
-    if args.mod is not None:
-        poly = reduce_mod_cyclotomic(poly, args.mod)
-    return {"n": args.n, "k": args.k, "mod": args.mod, **_poly_json(poly)}, True
+    n, k, b = args.n, args.k, args.mod
+    if b is None:
+        poly = q_binomial(n, k)
+    else:  # the residue by the exponent route; zero for k outside 0..n
+        poly = q_ratio_mod(catalog.binomial_spec(), (k, n - k), b) if 0 <= k <= n else IntPolynomial()
+    return {"n": n, "k": k, "mod": b, **_poly_json(poly)}, True
 
 
 def _cmd_qratio(args):
@@ -341,8 +343,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("qratio", _cmd_qratio, "evaluate a q-factorial ratio at a lattice point")
     p.add_argument("--spec", required=True, help="JSON file or built-in spec name")
     p.add_argument("--point", type=_csv_ints, required=True)
-    p.add_argument("--mod", type=_positive_int, help="reduce modulo this cyclotomic index")
-    p.add_argument("--at-one", action="store_true", help="integer value at q = 1")
+    route = p.add_mutually_exclusive_group()
+    route.add_argument("--mod", type=_positive_int, help="reduce modulo this cyclotomic index")
+    route.add_argument("--at-one", action="store_true", help="integer value at q = 1")
 
     p = add("check-landau", _cmd_check_landau, "decide the step-function hypotheses")
     p.add_argument("--spec", required=True)

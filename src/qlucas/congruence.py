@@ -11,16 +11,16 @@ step-function conditions); they are checkers of stated facts, not explorers.
 
 Residues modulo cyclotomic(b) come from the cyclotomic exponent vector of
 each point and values at q = 1 from integer factorials; no full ratio
-polynomial is built. A sweep over many moduli memoizes both per point for
-the length of the call, in two functools.cache wrappers, since a point
-a + n b recurs for every b it can be written at. The residue itself is
-memoized by qcombinatorics for the whole process, keyed by the exponent
-vector and b, so a sweep that repeats an earlier one's moduli (a larger
-b_max, or verify_inter2_identity at the same scaled points) reuses its
-residues. The Apery-type sums keep two process-wide memos: the 512 most
-recently used sums, and one slot with the last row of summands built, for
-one family and n, from which the next n of that family steps (see
-apery_polynomial).
+polynomial is built, and no residue is reduced twice (see lucas_check). A
+sweep over many moduli memoizes both per point for the length of the call,
+in two functools.cache wrappers, since a point a + n b recurs for every b it
+can be written at. The residue itself is memoized by qcombinatorics for the
+whole process, keyed by the exponent vector and b, so a sweep that repeats
+an earlier one's moduli (a larger b_max, or verify_inter2_identity at the
+same scaled points) reuses its residues. The Apery-type sums keep two
+process-wide memos: the 512 most recently used sums, and one slot with the
+last row of summands built, for one family and n, from which the next n of
+that family steps (see apery_polynomial).
 
 Counts and boxes are checked before the hypotheses, by
 qcombinatorics._check_ints and _check_vector: a bool or non-integer, or a
@@ -172,16 +172,18 @@ def lucas_check(
     split: int,
     residue: Callable,
     factor: Callable[[tuple[int, ...]], int],
-    reduce: Callable,
+    reduce: Optional[Callable] = None,
 ) -> tuple[int, dict, list]:
-    """Check residue(a + split n) == reduce(residue(a) * factor(n)) over a box.
+    """Check residue(a + split n) == residue(a) * factor(n) over a box.
 
     Walks every x in the box 0..box, inclusive, in lexicographic order, and
     splits it as x = a + split n with 0 <= a_i < split. Each x is one check.
     Returns the number of checks, the base residues {a: residue(a)}, and the
     mismatches (a, n, x, lhs, rhs) in walk order. The walk meets x = a before
     any other x with offset a, so residue(a) is the left side of the check
-    at n = 0 and is evaluated once.
+    at n = 0 and is evaluated once. A canonical residue modulo cyclotomic(b)
+    times an integer is canonical, so the right side is compared as it is;
+    reduce, applied to it when given, is for integer residues modulo p.
     """
     axes = [[(c, c % split, c // split) for c in range(top + 1)] for top in box]
     base: dict = {}
@@ -189,7 +191,9 @@ def lucas_check(
     for parts in itertools.product(*axes):
         x, a, n = zip(*parts)
         lhs = residue(x)
-        rhs = reduce(base.setdefault(a, lhs) * factor(n))
+        rhs = base.setdefault(a, lhs) * factor(n)
+        if reduce is not None:
+            rhs = reduce(rhs)
         if lhs != rhs:
             mismatches.append((a, n, x, lhs, rhs))
     return math.prod(map(len, axes)), base, mismatches
@@ -206,11 +210,9 @@ def _sweep_moduli(
     checked = 0
     failures: list[CongruenceFailure] = []
     for b in moduli:
+        residue, reduce = (lambda x: exponent_residue(exponents(x), b)), None
         if at_one:
             residue, reduce = (lambda x: ratio_at_one(x) % b), (lambda v: v % b)
-        else:
-            residue = lambda x: exponent_residue(exponents(x), b)
-            reduce = lambda v: reduce_mod_cyclotomic(v, b)
         box = tuple(b * (c + 1) - 1 for c in n_box)
         count, _, bad = lucas_check(box, b, residue, ratio_at_one, reduce)
         checked += count
@@ -293,7 +295,6 @@ def verify_inter2_identity(spec: RatioSpec, b: int, n_box: Sequence[int]) -> Con
         1,
         lambda n: q_ratio_mod(spec, tuple(c * b for c in n), b),
         partial(q_ratio_at_one, spec),
-        lambda v: reduce_mod_cyclotomic(v, b),
     )
     report.failures = [CongruenceFailure(b, None, n, lhs, rhs) for _, n, _, lhs, rhs in bad]
     return report
@@ -375,7 +376,6 @@ def check_cofactor(
         b,
         lambda x: reduce_mod_cyclotomic(coeffs[x[0]], b),
         lambda n: g1[n[0]],
-        lambda v: reduce_mod_cyclotomic(v, b),
     )
     report.checked += checked
     report.failures += [CongruenceFailure(b, a, n, lhs, rhs) for a, n, _, lhs, rhs in bad]

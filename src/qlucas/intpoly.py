@@ -12,8 +12,9 @@ integers. Cyclotomic polynomials are Moebius products of 1 - q^d factors.
 All reduction modulo cyclotomic(b) is one list-level helper,
 _reduce_cyclotomic: it folds an input longer than b by exponent mod b, then
 runs the monic long-division loop on what is left. reduce_mod_cyclotomic
-wraps it for polynomials, and the residue products of qcombinatorics call it
-on plain coefficient tuples without building an IntPolynomial per step.
+only wraps it for polynomials, and the residue products of qcombinatorics
+call it on plain coefficient tuples without building an IntPolynomial per
+step.
 
 The linear kernels loop over whole slices, so the per-coefficient work runs
 in C (``map``, ``itertools.accumulate``, ``sum``): addition, multiplication
@@ -69,9 +70,6 @@ class IntPolynomial:
         p = object.__new__(cls)
         p.coeffs = coeffs
         return p
-
-    def __reduce__(self):
-        return (IntPolynomial, (self.coeffs,))
 
     # -- structure ---------------------------------------------------------
 
@@ -357,6 +355,4 @@ def _reduce_cyclotomic(c: Sequence[int], b: int) -> list[int]:
 
 def reduce_mod_cyclotomic(a: IntPolynomial, b: int) -> IntPolynomial:
     """Canonical remainder of a modulo cyclotomic(b)."""
-    if len(a.coeffs) < len(cyclotomic(b).coeffs):
-        return a
     return IntPolynomial._raw(tuple(_reduce_cyclotomic(a.coeffs, b)))

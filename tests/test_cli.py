@@ -12,6 +12,8 @@ import qlucas
 from qlucas import cli
 from qlucas.cli import main
 from qlucas.congruence import apery_polynomial
+from qlucas.intpoly import reduce_mod_cyclotomic
+from qlucas.qcombinatorics import q_binomial
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report.schema.json").read_text()
@@ -59,6 +61,24 @@ class TestComputationCommands:
         code, envelope = run_json(capsys, ["qbinom", "4", "2", "--mod", "2"])
         assert code == 0
         assert envelope["report"]["coefficients"] == ["2"]
+
+    def test_qbinom_mod_equals_reduced_polynomial(self):
+        # The exponent route against the old one: build, then reduce.
+        for n in range(25):
+            for k in range(-1, n + 2):
+                for b in range(1, 13):
+                    args = argparse.Namespace(n=n, k=k, mod=b)
+                    want = cli._poly_json(reduce_mod_cyclotomic(q_binomial(n, k), b))
+                    assert cli._cmd_qbinom(args) == ({"n": n, "k": k, "mod": b, **want}, True)
+
+    def test_qbinom_mod_builds_no_polynomial(self, capsys, monkeypatch):
+        def refuse(n, k):
+            raise AssertionError("qbinom --mod built the whole polynomial")
+
+        monkeypatch.setattr(cli, "q_binomial", refuse)
+        code, envelope = run_json(capsys, ["qbinom", "40", "19", "--mod", "7"])
+        assert code == 0
+        assert envelope["report"]["coefficients"] == ["10"]
 
     def test_qratio_builtin_spec(self, capsys):
         code, envelope = run_json(
@@ -291,6 +311,11 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith(f"usage: qlucas {command[0]} ")
         assert err.endswith("argument --order: expected a nonnegative integer, got '-1'\n")
+
+    def test_at_one_excludes_mod(self, capsys):
+        code, out, err = run(capsys, ["qratio", "--spec", "central", "--point", "3", "--mod", "5", "--at-one"])
+        assert (code, out) == (2, "")
+        assert err.endswith("argument --at-one: not allowed with argument --mod\n")
 
     def test_qbinom_negative_n(self, capsys):
         code, out, err = run(capsys, ["qbinom", "-1", "2"])

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import functools
+import pickle
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -169,6 +170,14 @@ class TestWorkerPool:
         assert checked == 7
         assert [f.b for f in failures] == list(range(1, 8))
 
+    def test_failure_pickle_round_trip(self):
+        # What a worker sends back: a failure carrying polynomial residues.
+        failure = CongruenceFailure(5, (1,), (2,), P((1, -2, 0, 5)), P((3,)))
+        copy = pickle.loads(pickle.dumps(failure))
+        assert copy == failure
+        assert type(copy.lhs_residue) is IntPolynomial
+        assert copy.to_json_dict() == failure.to_json_dict()
+
 
 class TestLucasCheck:
     def test_walk_splits_and_bases(self):
@@ -182,6 +191,15 @@ class TestLucasCheck:
     def test_split_one_has_the_single_offset_zero(self):
         checked, base, bad = congruence.lucas_check((3,), 1, lambda x: 1, lambda n: 1, lambda v: v)
         assert (checked, base, bad) == (4, {(0,): 1}, [])
+
+    def test_right_side_compared_as_computed_without_reduce(self):
+        # Residue 1 everywhere and factor 4^n: equal modulo 3, but with
+        # reduce omitted the right side 4^n is compared as it is.
+        args = ((2,), 1, lambda x: 1, lambda n: 4 ** n[0])
+        checked, base, bad = congruence.lucas_check(*args)
+        assert (checked, base) == (3, {(0,): 1})
+        assert bad == [((0,), (1,), (1,), 1, 4), ((0,), (2,), (2,), 1, 16)]
+        assert congruence.lucas_check(*args, lambda v: v % 3) == (3, {(0,): 1}, [])
 
 
 def off_by_one_at_two(monkeypatch):
