@@ -214,14 +214,12 @@ class TestRatioDegree:
 
 
 class TestQRatioMod:
-    def test_matches_reduction_of_both_polynomial_routes(self):
-        # deg = n^2 for CENTRAL runs from 1 to 1600 over these points.
-        moduli = {1: range(1, 9), 4: range(1, 9), 5: (*range(1, 9), 12)}
-        moduli.update({n: (1, 2, 6, 7, 8, 12) for n in (8, 9, 10, 12, 40)})
-        for n, bs in moduli.items():
-            direct = q_ratio(CENTRAL, (n,))
-            product = q_ratio_cyclotomic(CENTRAL, (n,))
-            for b in bs:
+    def test_matches_reduction_below_threshold(self):
+        # deg = n^2 for CENTRAL: 1..25, below the old residue-route cutoff of 64.
+        for b in range(1, 9):
+            for n in (1, 4, 5):
+                direct = q_ratio(CENTRAL, (n,))
+                product = q_ratio_cyclotomic(CENTRAL, (n,))
                 fast = q_ratio_mod(CENTRAL, (n,), b)
                 assert fast == reduce_mod_cyclotomic(direct, b), (n, b)
                 assert fast == reduce_mod_cyclotomic(product, b), (n, b)
@@ -235,6 +233,17 @@ class TestQRatioMod:
             for pt in [(1, 1), (2, 1), (3, 3), (5, 2), (6, 6)]:
                 fast = q_ratio_mod(APERY, pt, b)
                 assert fast == reduce_mod_cyclotomic(q_ratio(APERY, pt), b), (b, pt)
+
+    def test_default_dispatch_straddles_threshold(self):
+        # One route serves degrees on both sides of the old cutoff of 64:
+        # deg = n^2 is 25, 64 below or at it, 81..1600 above it.
+        for n in (5, 8, 9, 10, 12, 40):
+            direct = q_ratio(CENTRAL, (n,))
+            product = q_ratio_cyclotomic(CENTRAL, (n,))
+            for b in (1, 2, 6, 7, 8, 12):
+                fast = q_ratio_mod(CENTRAL, (n,), b)
+                assert fast == reduce_mod_cyclotomic(direct, b), (n, b)
+                assert fast == reduce_mod_cyclotomic(product, b), (n, b)
 
     def test_exponent_residue(self):
         exponents = cyclotomic_exponents(CENTRAL, (6,))
