@@ -8,8 +8,7 @@ failures, 1 when a verification reported failures or a negative verdict, and
 2 on configuration errors.
 
 main resolves the outside input before it calls the subcommand's handler:
---spec is loaded (a built-in name or a JSON file) and --jobs falls back to
-the QLUCAS_JOBS environment variable, then to 1. A handler returns
+--spec is loaded (a built-in name or a JSON file). A handler returns
 (report, ok) and may write resolved defaults back to its arguments. params
 then echoes every parsed argument except --format and --output, with specs
 expanded to JSON, tuples as lists and rationals as strings.
@@ -117,17 +116,6 @@ def _load_series(source: str, order: int) -> TruncatedSeries:
     if any(not isinstance(c, int) for c in coeffs):
         raise ValueError("verify-ld needs an integer sequence")
     return TruncatedSeries.from_coefficients(coeffs)
-
-
-def _jobs(flag: int | None) -> int:
-    """The --jobs flag, else QLUCAS_JOBS, else 1."""
-    if flag is not None:
-        return flag
-    raw = os.environ.get("QLUCAS_JOBS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"QLUCAS_JOBS must be an integer, got {raw!r}") from None
 
 
 def _poly_json(p: IntPolynomial) -> dict:
@@ -241,7 +229,7 @@ def _cmd_verify_congruence(args):
 
 
 def _cmd_verify_plucas(args):
-    return _verdict(verify_plucas_at_one(args.spec, args.p_max, args.n_box, jobs=args.jobs))
+    return _verdict(verify_plucas_at_one(args.spec, args.p_max, args.n_box))
 
 
 def _cmd_verify_inter2(args):
@@ -355,13 +343,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--b-max", type=_positive_int, required=True)
     p.add_argument("--n-box", type=_csv_ints, required=True)
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", type=_positive_int, default=1)
 
     p = add("verify-plucas", _cmd_verify_plucas, "sweep the prime case at q = 1")
     p.add_argument("--spec", required=True)
     p.add_argument("--p-max", type=int, required=True)
     p.add_argument("--n-box", type=_csv_ints, required=True)
-    p.add_argument("--jobs", type=int)
 
     p = add("verify-inter2", _cmd_verify_inter2, "sweep the multiple-point identity")
     p.add_argument("--spec", required=True)
@@ -417,8 +404,6 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "spec"):
             args.spec = _load_spec(args.spec)
-        if hasattr(args, "jobs"):
-            args.jobs = _jobs(args.jobs)
         report, ok = args.handler(args)
         envelope = {
             "command": args.command,

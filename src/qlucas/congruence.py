@@ -25,7 +25,8 @@ that family steps (see apery_polynomial).
 Counts and boxes are checked before the hypotheses, by
 qcombinatorics._check_ints and _check_vector: a bool or non-integer, or a
 value below the least one allowed (b_max and jobs 1, p_max 2), is a
-ValueError that names the argument.
+ValueError that names the argument. Only verify_ratio_congruence takes
+jobs; the q = 1 sweep runs in one process (see verify_plucas_at_one).
 """
 
 from __future__ import annotations
@@ -142,28 +143,6 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _run_sweep(sweep: Callable, spec: RatioSpec, moduli: list[int], n_box: tuple[int, ...], jobs: int):
-    """(checked, failures) of sweep over the moduli, on at most jobs workers.
-
-    Workers are also capped by the number of moduli and of CPUs. Worker k
-    takes moduli[k::workers], which spreads the costly large moduli; a stable
-    sort by modulus restores the serial order of the failures.
-    """
-    workers = min(jobs, len(moduli), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here: the process pool machinery costs every import of
-        # qlucas tens of milliseconds and only jobs > 1 needs it
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = [moduli[k::workers] for k in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(sweep, [spec] * workers, chunks, [n_box] * workers))
-    else:
-        parts = [sweep(spec, moduli, n_box)]
-    failures = sorted((f for _, part in parts for f in part), key=lambda f: f.b)
-    return sum(checked for checked, _ in parts), failures
-
-
 # -- the Lucas check ------------------------------------------------------------------
 
 
@@ -233,7 +212,10 @@ def verify_ratio_congruence(
     a + n b. Requires a balanced spec that passes both step-function
     hypotheses. jobs > 1 distributes moduli over worker processes, at most
     one per modulus and per CPU; the merged report is identical to the
-    serial one.
+    serial one. A residue is specific to its modulus, so splitting the
+    moduli splits the work. Worker k takes moduli[k::workers], which spreads
+    the costly large moduli; a stable sort by modulus restores the serial
+    order of the failures.
     """
     n_box = _check_vector(n_box, spec.dim, "n_box")
     _check_ints(b_max=(b_max, 1), jobs=(jobs, 1))
@@ -243,33 +225,46 @@ def verify_ratio_congruence(
         ranges={"spec": spec.to_json_dict(), "b_max": b_max, "n_box": list(n_box)},
     )
     moduli = list(range(1, b_max + 1))
-    sweep = partial(_sweep_moduli, False)
-    report.checked, report.failures = _run_sweep(sweep, spec, moduli, n_box, jobs)
+    workers = min(jobs, len(moduli), os.cpu_count() or 1)
+    if workers > 1:
+        # imported here: the process pool machinery costs every import of
+        # qlucas tens of milliseconds and only jobs > 1 needs it
+        from concurrent.futures import ProcessPoolExecutor
+
+        chunks = [moduli[k::workers] for k in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(
+                pool.map(_sweep_moduli, [False] * workers, [spec] * workers, chunks, [n_box] * workers)
+            )
+    else:
+        parts = [_sweep_moduli(False, spec, moduli, n_box)]
+    report.checked = sum(checked for checked, _ in parts)
+    report.failures = sorted((f for _, part in parts for f in part), key=lambda f: f.b)
     return report
 
 
 # -- q = 1 shadow ---------------------------------------------------------------------
 
 
-def verify_plucas_at_one(
-    spec: RatioSpec, p_max: int, n_box: Sequence[int], jobs: int = 1
-) -> CongruenceReport:
+def verify_plucas_at_one(spec: RatioSpec, p_max: int, n_box: Sequence[int]) -> CongruenceReport:
     """Sweep the integer congruence Q(1; a + n p) == Q(1; a) Q(1; n) mod p.
 
-    Runs over every prime p <= p_max. Same hypotheses, order and report
-    shape as verify_ratio_congruence; residues are reported as constant
-    polynomials.
+    Runs over every prime p <= p_max, in one process. Same hypotheses, order
+    and report shape as verify_ratio_congruence; residues are reported as
+    constant polynomials. The box of each prime contains the boxes of all
+    smaller primes, so the sweep's cost is the q = 1 values of the largest
+    box, which the serial sweep computes once; worker processes splitting
+    the primes would each recompute nearly all of them.
     """
     n_box = _check_vector(n_box, spec.dim, "n_box")
-    _check_ints(p_max=(p_max, 2), jobs=(jobs, 1))
+    _check_ints(p_max=(p_max, 2))
     _require_hypotheses(spec, "prime congruence", subdomain=True)
     primes = [p for p in range(2, p_max + 1) if _is_prime(p)]
     report = CongruenceReport(
         subject="plucas-at-one",
         ranges={"spec": spec.to_json_dict(), "p_max": p_max, "n_box": list(n_box)},
     )
-    sweep = partial(_sweep_moduli, True)
-    report.checked, report.failures = _run_sweep(sweep, spec, primes, n_box, jobs)
+    report.checked, report.failures = _sweep_moduli(True, spec, primes, n_box)
     return report
 
 

@@ -190,22 +190,7 @@ class IntPolynomial:
                 yield k, self.coeffs[k]
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for k, c in self.terms():
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            elif k == 1:
-                body = "q" if mag == 1 else f"{mag}*q"
-            else:
-                body = f"q^{k}" if mag == 1 else f"{mag}*q^{k}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _signed_sum((c, "" if k == 0 else "q" if k == 1 else f"q^{k}") for k, c in self.terms())
 
     def __repr__(self) -> str:
         return f"IntPolynomial({self.coeffs!r})"
@@ -213,6 +198,25 @@ class IntPolynomial:
 
 ZERO = IntPolynomial(())
 ONE = IntPolynomial((1,))
+
+
+def _signed_sum(terms: Iterable[tuple[int, str]]) -> str:
+    """Nonzero (coefficient, monomial) terms as text, like "-2*q^2 + q - 1".
+
+    The first sign is "-" or nothing, later ones "- " or "+ ". A unit
+    coefficient is left out before a monomial; the monomial "" is the
+    constant term. No terms give "0".
+    """
+    parts: list[str] = []
+    for c, mono in terms:
+        mag = abs(c)
+        body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+        if parts:
+            body = ("+ " if c > 0 else "- ") + body
+        elif c < 0:
+            body = "-" + body
+        parts.append(body)
+    return " ".join(parts) or "0"
 
 
 def monomial(k: int, c: int = 1) -> IntPolynomial:

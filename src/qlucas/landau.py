@@ -121,7 +121,10 @@ class CellSignature:
 class CellValue:
     cell: CellSignature
     value: int
-    in_domain: bool
+
+    @property
+    def in_domain(self) -> bool:
+        return self.cell.in_domain
 
     def to_json_dict(self) -> dict:
         out = self.cell.to_json_dict()
@@ -422,7 +425,7 @@ def check_landau(spec: RatioSpec, budget: int = DEFAULT_BUDGET) -> LandauReport:
     """
     counts = SearchCounts()
     cells = enumerate_cells(spec, budget, counts)
-    values = [CellValue(c, c.value(spec), c.in_domain) for c in cells]
+    values = [CellValue(c, c.value(spec)) for c in cells]
     min_overall = min(cv.value for cv in values)
     domain_values = [cv.value for cv in values if cv.in_domain]
     min_on_domain = min(domain_values) if domain_values else None

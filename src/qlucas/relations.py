@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
+from .intpoly import _signed_sum
 from .qcombinatorics import _check_ints
 from .series import InsufficientTruncation
 
@@ -59,32 +60,11 @@ class RelationCandidate:
         }
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono, coeff in reversed(self.terms):
-            factors = []
-            i = mono[0]
-            if i == 1:
-                factors.append("x")
-            elif i > 1:
-                factors.append(f"x^{i}")
-            for j, a in enumerate(mono[1:], start=1):
-                if a == 1:
-                    factors.append(f"y{j}")
-                elif a > 1:
-                    factors.append(f"y{j}^{a}")
-            mag = abs(coeff)
-            body = "*".join(factors) if factors else ""
-            if not body:
-                body = str(mag)
-            elif mag != 1:
-                body = f"{mag}*{body}"
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(parts)
+        names = ["x"] + [f"y{j}" for j in range(1, self.num_series + 1)]
+        return _signed_sum(
+            (coeff, "*".join(v if a == 1 else f"{v}^{a}" for v, a in zip(names, mono) if a))
+            for mono, coeff in reversed(self.terms)
+        )
 
 
 def _monomial_key(mono: Monomial) -> tuple:

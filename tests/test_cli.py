@@ -269,6 +269,7 @@ class TestExitCodes:
         (["qbinom", "5", "2", "--mod"], "--mod"),
         (["qratio", "--spec", "central", "--point", "3", "--mod"], "--mod"),
         (["verify-congruence", "--spec", "central", "--n-box", "2", "--b-max"], "--b-max"),
+        (["verify-congruence", "--spec", "central", "--b-max", "3", "--n-box", "2", "--jobs"], "--jobs"),
         (["verify-apery", "--family", "a", "--t", "1", "--n-max", "4", "--b-max"], "--b-max"),
         (["verify-inter2", "--spec", "central", "--n-box", "2", "--b"], "--b"),
         (["extract-cofactor", "--spec", "central", "--order", "4", "--b"], "--b"),
@@ -282,23 +283,13 @@ class TestExitCodes:
             assert err.startswith(f"usage: qlucas {command[0]} ")
             assert err.endswith(f"argument {flag}: expected a positive integer, got '{value}'\n")
 
-    @pytest.mark.parametrize("command", [
-        ["verify-congruence", "--spec", "central", "--b-max", "3", "--n-box", "2"],
-        ["verify-plucas", "--spec", "central", "--p-max", "3", "--n-box", "2"],
-    ])
-    def test_jobs_below_one(self, capsys, monkeypatch, command):
-        for jobs in ("0", "-2"):
-            code, out, err = run(capsys, command + ["--jobs", jobs])
-            assert (code, out) == (2, "")
-            assert "jobs" in err
-        monkeypatch.setenv("QLUCAS_JOBS", "0")
-        code, out, err = run(capsys, command)
+    def test_plucas_has_no_jobs_flag(self, capsys):
+        # the prime sweep runs in one process
+        code, out, err = run(capsys, ["verify-plucas", "--spec", "central", "--p-max", "5",
+                                      "--n-box", "2", "--jobs", "2"])
         assert (code, out) == (2, "")
-        assert "jobs" in err
-        monkeypatch.setenv("QLUCAS_JOBS", "abc")
-        code, out, err = run(capsys, command)
-        assert (code, out) == (2, "")
-        assert err == "error: QLUCAS_JOBS must be an integer, got 'abc'\n"
+        assert err.startswith("usage: qlucas ")
+        assert err.endswith("unrecognized arguments: --jobs 2\n")
 
     @pytest.mark.parametrize("command", [
         ["specialize", "--spec", "central"],
@@ -412,19 +403,10 @@ class TestOutputModes:
         del first["timestamp"], second["timestamp"]
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
-    def test_jobs_env_default(self, capsys, monkeypatch):
-        argv = ["verify-congruence", "--spec", "central", "--b-max", "3", "--n-box", "3"]
-        _, serial = run_json(capsys, argv)
-        monkeypatch.setenv("QLUCAS_JOBS", "2")
-        _, parallel = run_json(capsys, argv)
-        assert serial["report"] == parallel["report"]
-        assert parallel["params"]["jobs"] == 2
-
 
 def _fresh_process(argv):
     """(exit code, stdout, stderr) of ``python -m qlucas.cli`` in a new interpreter."""
     env = {**os.environ, "PYTHONPATH": SRC, "COLUMNS": "80"}
-    env.pop("QLUCAS_JOBS", None)
     proc = subprocess.run(
         [sys.executable, "-m", "qlucas.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
@@ -457,7 +439,6 @@ class TestOneProcess:
 
     def test_calls_match_fresh_processes(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
-        monkeypatch.delenv("QLUCAS_JOBS", raising=False)
         codes = []
         for argv in self.SEQUENCE:
             code, out, err = run(capsys, argv)

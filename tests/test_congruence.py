@@ -143,32 +143,29 @@ class TestWorkerPool:
         verify_ratio_congruence(CENTRAL, 3, (2,), jobs=64)  # 3 moduli
         verify_ratio_congruence(CENTRAL, 9, (2,), jobs=64)  # 4 CPUs
         verify_ratio_congruence(CENTRAL, 9, (2,), jobs=2)
-        verify_plucas_at_one(CENTRAL, 5, (2,), jobs=64)  # primes 2, 3, 5
-        verify_plucas_at_one(CENTRAL, 2, (2,), jobs=64)  # one prime: serial
         verify_ratio_congruence(CENTRAL, 1, (2,), jobs=64)  # one modulus: serial
         monkeypatch.setattr(congruence.os, "cpu_count", lambda: None)
         verify_ratio_congruence(CENTRAL, 9, (2,), jobs=64)  # unknown CPUs: serial
-        assert pool_sizes == [3, 4, 2, 3]
+        assert pool_sizes == [3, 4, 2]
 
     def test_rejects_fewer_than_one_job(self, pool_sizes):
         for jobs in (0, -1):
             with pytest.raises(ValueError, match="jobs"):
                 verify_ratio_congruence(CENTRAL, 3, (2,), jobs=jobs)
-            with pytest.raises(ValueError, match="jobs"):
-                verify_plucas_at_one(CENTRAL, 5, (2,), jobs=jobs)
         assert pool_sizes == []
 
     def test_interleaved_failures_keep_serial_order(self, monkeypatch, pool_sizes):
         # Workers take every k-th modulus; the merged failures must still be
         # ordered as the serial sweep orders them.
-        def sweep(spec, moduli, n_box):
+        def sweep(at_one, spec, moduli, n_box):
             return len(moduli), [CongruenceFailure(b, None, n_box, P((b,)), P(())) for b in moduli]
 
+        monkeypatch.setattr(congruence, "_sweep_moduli", sweep)
         monkeypatch.setattr(congruence.os, "cpu_count", lambda: 3)
-        checked, failures = congruence._run_sweep(sweep, CENTRAL, list(range(1, 8)), (0,), 3)
+        report = verify_ratio_congruence(CENTRAL, 7, (0,), jobs=3)
         assert pool_sizes == [3]
-        assert checked == 7
-        assert [f.b for f in failures] == list(range(1, 8))
+        assert report.checked == 7
+        assert [f.b for f in report.failures] == list(range(1, 8))
 
     def test_failure_pickle_round_trip(self):
         # What a worker sends back: a failure carrying polynomial residues.
@@ -246,13 +243,12 @@ class TestForcedMismatches:
         assert failure_records(report) == self.RATIO
         assert pool_sizes == ([2] if jobs == 2 else [])
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_plucas_sweep(self, monkeypatch, pool_sizes, jobs):
+    def test_plucas_sweep(self, monkeypatch, pool_sizes):
         off_by_one_at_two(monkeypatch)
-        report = verify_plucas_at_one(CENTRAL, 5, (2,), jobs=jobs)
+        report = verify_plucas_at_one(CENTRAL, 5, (2,))
         assert report.checked == (2 + 3 + 5) * 3
         assert failure_records(report) == self.PLUCAS
-        assert pool_sizes == ([2] if jobs == 2 else [])
+        assert pool_sizes == []
 
 
 class TestVerifyPlucasAtOne:
@@ -266,11 +262,6 @@ class TestVerifyPlucasAtOne:
         rep = verify_plucas_at_one(APERY, 3, (2, 2))
         assert rep.ok
         assert rep.checked == (4 + 9) * 9
-
-    def test_parallel_matches_serial(self):
-        serial = verify_plucas_at_one(CENTRAL, 11, (4,), jobs=1)
-        parallel = verify_plucas_at_one(CENTRAL, 11, (4,), jobs=3)
-        assert serial.to_json_dict() == parallel.to_json_dict()
 
     def test_refuses_failing_spec(self):
         with pytest.raises(HypothesisViolated):

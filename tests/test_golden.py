@@ -33,7 +33,7 @@ TIMESTAMP = {
 SUFFIX = {"json": ".json", "text": ".txt"}
 
 # The README's command-line examples, with build-series and specialize cut to
-# small orders, plus a failing verify-ld and a parallel verify-plucas.
+# small orders, plus a failing verify-ld.
 COMMANDS = {
     "cyclotomic": ["cyclotomic", "12"],
     "qbinom-mod": ["qbinom", "10", "4", "--mod", "7"],
@@ -42,7 +42,6 @@ COMMANDS = {
     "check-landau": ["check-landau", "--spec", "apery"],
     "verify-congruence": ["verify-congruence", "--spec", "central:2", "--b-max", "20", "--n-box", "8", "--jobs", "4"],
     "verify-plucas": ["verify-plucas", "--spec", "central", "--p-max", "11", "--n-box", "6"],
-    "verify-plucas-jobs": ["verify-plucas", "--spec", "central", "--p-max", "11", "--n-box", "6", "--jobs", "2"],
     "verify-inter2": ["verify-inter2", "--spec", "central", "--b", "5", "--n-box", "6"],
     "build-series": ["build-series", "--spec", "apery", "--cap", "4,4"],
     "specialize": ["specialize", "--spec", "apery", "--t", "1,0", "--m", "1,1", "--order", "12"],
