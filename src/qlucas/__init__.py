@@ -28,7 +28,6 @@ from .intpoly import (
 from .landau import (
     DEFAULT_BUDGET,
     CellSignature,
-    CellValue,
     DimensionTooLarge,
     LandauReport,
     RationalPoint,
@@ -73,7 +72,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CellSignature",
-    "CellValue",
     "CongruenceFailure",
     "CongruenceReport",
     "DEFAULT_BUDGET",

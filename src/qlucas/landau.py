@@ -19,6 +19,11 @@ weak bound strictly off its face (the vectors t are nonnegative and nonzero),
 so an interior point exists. Midpoint witnesses are therefore exact, and a
 rational grid sample can discover every cell; the tests use that as an oracle.
 
+Each cell is one record, CellSignature: its floors, a witness point and the
+value of delta there, which the search reads off the floors at the leaf. The
+report keeps the minima of delta over the box and over D, and derives both
+verdicts from them.
+
 Feasibility is decided by exact Fourier-Motzkin elimination over the
 integers, tracking strictness. The cell search is incremental: each search
 node holds one immutable constraint set per elimination level, and a child
@@ -85,52 +90,25 @@ class RationalPoint:
 
 @dataclass(frozen=True)
 class CellSignature:
-    """Constant floor values of every nonzero spec vector on one cell."""
+    """One cell: the constant floor of every nonzero spec vector on it, an
+    exact point inside it, and the value of delta there."""
 
     floors: tuple[tuple[Vector, int], ...]  # sorted by vector
-    witness: Optional[RationalPoint]
-
-    def floors_dict(self) -> dict[Vector, int]:
-        return dict(self.floors)
-
-    def floor_of(self, t: Sequence[int]) -> int:
-        key = tuple(t)
-        if not any(key):
-            return 0
-        return dict(self.floors)[key]
+    witness: RationalPoint
+    value: int  # delta on the cell, counting vector multiplicity
 
     @property
     def in_domain(self) -> bool:
         """Whether the cell lies in the subdomain D (some floor >= 1)."""
         return any(m >= 1 for _, m in self.floors)
 
-    def value(self, spec: RatioSpec) -> int:
-        """delta on this cell, counting vector multiplicity."""
-        lookup = dict(self.floors)
-        sig = lambda t: lookup.get(tuple(t), 0)
-        return sum(sig(t) for t in spec.e) - sum(sig(t) for t in spec.f)
-
     def to_json_dict(self) -> dict:
         return {
             "floors": [[list(t), m] for t, m in self.floors],
-            "witness": self.witness.to_json() if self.witness else None,
+            "witness": self.witness.to_json(),
+            "value": self.value,
+            "in_domain": self.in_domain,
         }
-
-
-@dataclass(frozen=True)
-class CellValue:
-    cell: CellSignature
-    value: int
-
-    @property
-    def in_domain(self) -> bool:
-        return self.cell.in_domain
-
-    def to_json_dict(self) -> dict:
-        out = self.cell.to_json_dict()
-        out["value"] = self.value
-        out["in_domain"] = self.in_domain
-        return out
 
 
 @dataclass(frozen=True)
@@ -138,14 +116,22 @@ class LandauReport:
     """Outcome of the two step-function hypotheses for one spec."""
 
     spec: RatioSpec
-    integrality: bool
-    criterion_D: bool
     min_value_overall: int
-    min_value_on_D: Optional[int]
+    min_value_on_D: Optional[int]  # None when D is empty
     num_cells: int
-    violating_cells: tuple[CellValue, ...]
+    violating_cells: tuple[CellSignature, ...]
     nodes: int  # search nodes explored
     constraints: int  # Fourier-Motzkin constraints kept
+
+    @property
+    def integrality(self) -> bool:
+        """delta >= 0 on the unit box."""
+        return self.min_value_overall >= 0
+
+    @property
+    def criterion_D(self) -> bool:
+        """delta >= 1 on D, vacuously true when D is empty."""
+        return self.min_value_on_D is None or self.min_value_on_D >= 1
 
     @property
     def ok(self) -> bool:
@@ -159,7 +145,7 @@ class LandauReport:
             "min_value_overall": self.min_value_overall,
             "min_value_on_D": self.min_value_on_D,
             "num_cells": self.num_cells,
-            "violating_cells": [cv.to_json_dict() for cv in self.violating_cells],
+            "violating_cells": [cell.to_json_dict() for cell in self.violating_cells],
             "nodes": self.nodes,
             "constraints": self.constraints,
         }
@@ -375,19 +361,22 @@ def _slab_constraints(t: Vector, m: int) -> list[Constraint]:
 def enumerate_cells(
     spec: RatioSpec, budget: int = DEFAULT_BUDGET, counts: Optional[SearchCounts] = None
 ) -> tuple[CellSignature, ...]:
-    """All nonempty floor-signature cells of the unit box, with witnesses.
+    """All nonempty floor-signature cells of the unit box, with witnesses
+    and values.
 
     Vectors are assigned largest component sum first; partial assignments
     that are already infeasible prune the whole subtree. A child node derives
     its elimination levels from its parent's, which stay unchanged, by adding
     its two slab constraints, and a leaf takes its witness from its own
-    levels. The budget bounds the search nodes
-    explored plus the constraints they add to the levels, and raises
-    DimensionTooLarge when exceeded; a budget below 1 is a ValueError. Both
-    are tallied in counts, if given.
+    levels and its value of delta from its floors, each weighted by the
+    vector's count in e minus its count in f (a zero vector's floor is 0).
+    The budget bounds the search nodes explored plus the constraints they
+    add to the levels, and raises DimensionTooLarge when exceeded; a budget
+    below 1 is a ValueError. Both are tallied in counts, if given.
     """
     _check_ints(budget=(budget, 1))
     vectors = sorted(spec.distinct_nonzero_vectors(), key=lambda t: (-sum(t), t))
+    net = {t: spec.e.count(t) - spec.f.count(t) for t in vectors}
     counts = counts if counts is not None else SearchCounts()
     results: list[CellSignature] = []
 
@@ -404,7 +393,8 @@ def enumerate_cells(
             return
         if idx == len(vectors):
             witness = RationalPoint(_witness(levels))
-            results.append(CellSignature(tuple(sorted(assigned)), witness))
+            value = sum(net[t] * m for t, m in assigned)
+            results.append(CellSignature(tuple(sorted(assigned)), witness, value))
             return
         t = vectors[idx]
         for m in range(sum(t)):
@@ -419,30 +409,20 @@ def check_landau(spec: RatioSpec, budget: int = DEFAULT_BUDGET) -> LandauReport:
 
     Integrality holds iff delta >= 0 on every cell; the stronger hypothesis
     additionally needs delta >= 1 on every cell inside D (vacuously true when
-    D is empty, in which case the domain minimum is reported as None).
-    Violating cells carry exact rational witnesses. Specs whose column sums
-    disagree are still analyzed; the minima then refer to the unit box only.
+    D is empty, in which case the domain minimum is reported as None); the
+    report reads both from the minima. Violating cells carry exact rational
+    witnesses. Specs whose column sums disagree are still analyzed; the
+    minima then refer to the unit box only.
     """
     counts = SearchCounts()
     cells = enumerate_cells(spec, budget, counts)
-    values = [CellValue(c, c.value(spec)) for c in cells]
-    min_overall = min(cv.value for cv in values)
-    domain_values = [cv.value for cv in values if cv.in_domain]
-    min_on_domain = min(domain_values) if domain_values else None
-    integrality = min_overall >= 0
-    criterion = all(v >= 1 for v in domain_values)
-    violating: list[CellValue] = []
-    for cv in values:
-        if cv.value < 0 or (cv.in_domain and cv.value < 1):
-            violating.append(cv)
+    domain_values = [c.value for c in cells if c.in_domain]
     return LandauReport(
         spec=spec,
-        integrality=integrality,
-        criterion_D=criterion,
-        min_value_overall=min_overall,
-        min_value_on_D=min_on_domain,
+        min_value_overall=min(c.value for c in cells),
+        min_value_on_D=min(domain_values, default=None),
         num_cells=len(cells),
-        violating_cells=tuple(violating),
+        violating_cells=tuple(c for c in cells if c.value < (1 if c.in_domain else 0)),
         nodes=counts.nodes,
         constraints=counts.constraints,
     )

@@ -11,9 +11,12 @@ x below y_1 below ... below y_s.
 
 A returned candidate annihilates the data up to verified_order; only that
 much is claimed. An empty result is a proof of full column rank, i.e. no
-relation exists within the given degree box at this truncation. Callers are
-refused (OrderTooSmall) when the system has fewer rows than columns plus a
-safety margin, so "no relation" can never be an artifact of too little data.
+relation exists within the given degree box at this truncation; that holds
+for any system with at least as many rows as columns. Callers are refused
+(OrderTooSmall) unless the system has more rows than columns plus a safety
+margin. The margin guards the other way: a barely determined system can
+return candidates that only the few rows it has satisfy, and find-relations
+re-verifies each candidate at double the order to expose those.
 """
 
 from __future__ import annotations
@@ -218,8 +221,9 @@ def find_relations(
 
     Returns one normalized candidate per nullspace dimension (each free
     column of the eliminated system), in a deterministic order. An empty list
-    certifies full column rank. Raises OrderTooSmall if the data or the
-    requested order leaves fewer than ncols + margin equations.
+    certifies full column rank. Raises OrderTooSmall if the data is too
+    short for the order, or if order < ncols + margin, that is, if the
+    system would have at most ncols + margin equations (order + 1 rows).
     """
     _check_ints(dx=(dx, 0), dy=(dy, 0), order=(order, 0), margin=(margin, 0))
     _validate_series(series, order, OrderTooSmall)

@@ -104,7 +104,10 @@ class TruncatedSeries:
             for entry in data:
                 if isinstance(entry["coeff"], str):  # would be read digit by digit
                     raise TypeError
-                coeffs[tuple(entry["exponents"])] = IntPolynomial.from_strings(entry["coeff"])
+                n = tuple(entry["exponents"])
+                if n in coeffs:
+                    raise ValueError(f"exponent {list(n)} is listed twice")
+                coeffs[n] = IntPolynomial.from_strings(entry["coeff"])
             cap = tuple(cap)
         except (TypeError, KeyError):
             raise ValueError(
@@ -118,13 +121,16 @@ class TruncatedSeries:
 class LdReport:
     """Membership verdict for the mod-p functional equation class."""
 
-    ok: bool
     modulus: int
     power: int
     order: int
     cofactor: dict[Vector, int]
     checked: int
     failures: list[CongruenceFailure] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
     def to_json_dict(self) -> dict:
         return {
@@ -251,6 +257,6 @@ def verify_definition_Ld(
     )
     failures = [CongruenceFailure(p, a, x, lhs, rhs) for a, _, x, lhs, rhs in bad]
     return LdReport(
-        ok=not failures, modulus=p, power=k, order=order, cofactor=cofactor,
+        modulus=p, power=k, order=order, cofactor=cofactor,
         checked=checked, failures=failures,
     )

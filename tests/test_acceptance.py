@@ -177,7 +177,7 @@ def test_criterion_06_landau_decision():
     bad = check_landau(inverse)
     assert not bad.integrality
     assert bad.violating_cells
-    witness = bad.violating_cells[0].cell.witness
+    witness = bad.violating_cells[0].witness
     assert witness is not None
     assert delta_at(inverse, witness) == bad.violating_cells[0].value < 0
 
@@ -191,7 +191,7 @@ def test_criterion_06_landau_decision():
             )
             sig = signature_at(spec, point)
             cell = cells[tuple(sorted(sig.items()))]
-            assert delta_at(spec, point) == cell.value(spec)
+            assert delta_at(spec, point) == cell.value
             assert in_domain_D(spec, point) == cell.in_domain
     elapsed = time.perf_counter() - start
     assert elapsed < 30

@@ -355,6 +355,17 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
 
+    def test_series_repeated_exponent(self, capsys, tmp_path):
+        # read with the last entry winning, this file passed verify-ld and
+        # exited 0, though with its first x^2 entry (1, 1, 2) the series fails
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps({"num_vars": 1, "cap": [2], "coefficients": [
+            {"exponents": [0], "coeff": ["1"]}, {"exponents": [2], "coeff": ["2"]},
+            {"exponents": [1], "coeff": ["1"]}, {"exponents": [2], "coeff": ["1"]}]}))
+        code, out, err = run(capsys, ["verify-ld", "--series", str(path), "--p", "2", "--order", "2"])
+        assert (code, out) == (2, "")
+        assert err == "error: exponent [2] is listed twice\n"
+
     def test_order_too_small(self, capsys):
         code, _, _ = run(
             capsys,

@@ -136,7 +136,8 @@ def oracle_cells(spec):
         if point is None:
             return
         if idx == len(vectors):
-            results.append(CellSignature(tuple(sorted(assigned)), RationalPoint(point)))
+            witness = RationalPoint(point)
+            results.append(CellSignature(tuple(sorted(assigned)), witness, delta_at(spec, witness)))
             return
         t = vectors[idx]
         for m in range(sum(t)):
@@ -216,7 +217,7 @@ class TestEnumerateCells:
             (((1,), 0), ((2,), 1)),
         ]
         for c in cells:
-            assert signature_at(CENTRAL, c.witness) == c.floors_dict()
+            assert signature_at(CENTRAL, c.witness) == dict(c.floors)
 
     def test_apery_cells_match_grid_oracle(self):
         cells = enumerate_cells(APERY)
@@ -224,13 +225,13 @@ class TestEnumerateCells:
         enumerated = {c.floors for c in cells}
         oracle = set(grid_signatures(APERY, 60))
         assert enumerated == oracle
-        values = sorted(c.value(APERY) for c in cells)
+        values = sorted(c.value for c in cells)
         assert values == [0, 1, 2, 3]
 
     def test_witnesses_reproduce_signatures(self):
         for spec in (CENTRAL, APERY, INVERSE, catalog.binomial_spec(2)):
             for cell in enumerate_cells(spec):
-                assert signature_at(spec, cell.witness) == cell.floors_dict(), cell
+                assert signature_at(spec, cell.witness) == dict(cell.floors), cell
 
     def test_grid_oracle_inverse(self):
         cells = enumerate_cells(INVERSE)
@@ -266,8 +267,7 @@ class TestEnumerateCells:
         cells = enumerate_cells(spec)
         assert len(cells) == 1
         assert cells[0].floors == (((1,), 0),)
-        assert cells[0].floor_of((0,)) == 0
-        assert cells[0].value(spec) == 0
+        assert cells[0].value == 0 == delta_at(spec, cells[0].witness)
 
     def test_deterministic(self):
         assert enumerate_cells(APERY) == enumerate_cells(APERY)
@@ -284,9 +284,10 @@ class TestEnumerateCells:
         expected, nodes = oracle_cells(spec)
         assert [c.floors for c in cells] == [c.floors for c in expected]
         assert [c.witness for c in cells] == [c.witness for c in expected]
+        assert [c.value for c in cells] == [c.value for c in expected]
         assert counts.nodes == nodes
         for c in cells:
-            assert signature_at(spec, c.witness) == c.floors_dict(), c
+            assert signature_at(spec, c.witness) == dict(c.floors), c
 
 
 def _slabs(spec):
@@ -393,10 +394,10 @@ class TestCheckLandau:
         assert len(rep.violating_cells) == 1
         bad = rep.violating_cells[0]
         assert bad.value == -1
-        assert bad.cell.floors_dict() == {(1,): 0, (2,): 1}
-        w = bad.cell.witness.coords[0]
+        assert dict(bad.floors) == {(1,): 0, (2,): 1}
+        w = bad.witness.coords[0]
         assert Fraction(1, 2) <= w < 1
-        assert delta_at(INVERSE, bad.cell.witness) == -1
+        assert delta_at(INVERSE, bad.witness) == -1
 
     def test_empty_domain_is_vacuous(self):
         spec = RatioSpec(1, ((1,),), ((1,),))
@@ -411,6 +412,25 @@ class TestCheckLandau:
         assert rep.integrality
         assert rep.min_value_overall == 0
         assert rep.min_value_on_D is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(balanced_specs(max_dim=3))
+    @example(INVERSE)
+    @example(RatioSpec(1, ((1,),), ((1,),)))
+    def test_verdicts_follow_from_cells(self, spec):
+        # each cell's value and domain flag agree with pointwise evaluation at
+        # its witness, and the verdicts read from the minima agree with their
+        # definitions over all cells
+        cells = enumerate_cells(spec)
+        for c in cells:
+            assert c.value == delta_at(spec, c.witness), c
+            assert c.in_domain == in_domain_D(spec, c.witness), c
+        rep = check_landau(spec)
+        assert rep.integrality == all(c.value >= 0 for c in cells)
+        assert rep.criterion_D == all(c.value >= 1 for c in cells if c.in_domain)
+        assert rep.violating_cells == tuple(
+            c for c in cells if c.value < 0 or (c.in_domain and c.value < 1)
+        )
 
     def test_json_shape(self):
         data = check_landau(INVERSE).to_json_dict()
@@ -445,5 +465,5 @@ class TestConsistency:
                 sig = tuple(sorted(signature_at(spec, x).items()))
                 assert sig in cells, (spec, x)
                 cell = cells[sig]
-                assert delta_at(spec, x) == cell.value(spec)
+                assert delta_at(spec, x) == cell.value
                 assert in_domain_D(spec, x) == cell.in_domain

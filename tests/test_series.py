@@ -68,6 +68,16 @@ class TestTruncatedSeries:
         assert data[0] == {"exponents": [0, 0], "coeff": ["1"]}
         assert TruncatedSeries.from_json_list(2, (1, 1), data) == s
 
+    def test_from_json_list_rejects_repeated_exponent(self):
+        # the last entry used to win, so the series read differed from the file
+        data = [
+            {"exponents": [0, 1], "coeff": ["1"]},
+            {"exponents": [1, 0], "coeff": ["2"]},
+            {"exponents": [0, 1], "coeff": ["3"]},
+        ]
+        with pytest.raises(ValueError, match=r"exponent \[0, 1\] is listed twice"):
+            TruncatedSeries.from_json_list(2, (1, 1), data)
+
 
 class TestBuildF:
     def test_central_line(self):
