@@ -20,7 +20,10 @@ an earlier one's moduli (a larger b_max, or verify_inter2_identity at the
 same scaled points) reuses its residues. The Apery-type sums keep two
 process-wide memos: the 512 most recently used sums, and one slot with the
 last row of summands built, for one family and n, from which the next n of
-that family steps (see apery_polynomial).
+that family steps (see apery_polynomial). Their residues modulo
+cyclotomic(b) live in the same residue cache as the ratio residues, keyed
+(family, t, n, b), so verify_apery reduces each sum once per modulus for
+the whole process (see _apery_residue).
 
 Counts and boxes are checked before the hypotheses, by
 qcombinatorics._check_ints and _check_vector: a bool or non-integer, or a
@@ -40,13 +43,15 @@ from operator import add
 from typing import Callable, Optional, Sequence
 
 from . import catalog
-from .intpoly import ONE, IntPolynomial, reduce_mod_cyclotomic
+from .intpoly import ONE, IntPolynomial, _reduce_cyclotomic
 from .landau import check_landau
 from .qcombinatorics import (
     RatioSpec,
+    _cache_put,
     _check_ints,
     _check_vector,
     _ratio_step,
+    _residue_power_cache,
     cyclotomic_exponents,
     exponent_residue,
     q_ratio_at_one,
@@ -356,22 +361,41 @@ def apery_polynomial(family: str, t: int, n: int) -> IntPolynomial:
     return IntPolynomial(total)
 
 
-def check_cofactor(
-    coeffs: Sequence[IntPolynomial], g1: Sequence[int], b: int, report: CongruenceReport
-) -> list[IntPolynomial]:
-    """Check coeffs[m + n b] == B_m * g1[n] modulo cyclotomic(b) over the list.
+def _apery_residue(family: str, t: int, n: int, b: int) -> IntPolynomial:
+    """apery_polynomial(family, t, n) modulo cyclotomic(b), memoized in the
+    process-wide residue cache of qcombinatorics under (family, t, n, b).
 
-    The one-variable Lucas check: B_m is coeffs[m] modulo cyclotomic(b) for
-    m < b; the B_m are returned. Every index is one check counted in the
-    report, and failures are appended in index order. g1 must cover
-    len(coeffs) // b and start at 1.
+    The caller has checked t, n and b: the key is built from them as given.
     """
-    checked, base, bad = lucas_check(
-        (len(coeffs) - 1,),
-        b,
-        lambda x: reduce_mod_cyclotomic(coeffs[x[0]], b),
-        lambda n: g1[n[0]],
-    )
+    key = (family, t, n, b)
+    hit = _residue_power_cache.get(key)
+    if hit is None:
+        hit = _cache_put(key, tuple(_reduce_cyclotomic(apery_polynomial(family, t, n).coeffs, b)))
+    return IntPolynomial._raw(hit)
+
+
+def check_cofactor(
+    residue: Callable[[tuple[int]], IntPolynomial],
+    count: int,
+    g1: Sequence[int],
+    b: int,
+    report: CongruenceReport,
+) -> list[IntPolynomial]:
+    """Check c_(m + n b) == B_m * g1[n] modulo cyclotomic(b) for indices below count.
+
+    The one-variable Lucas check over the coefficients c_0..c_(count - 1) of
+    a series, given by residue((i,)), the canonical residue of c_i modulo
+    cyclotomic(b); the index is a 1-tuple, as lucas_check passes it. B_m is
+    residue((m,)) for m < b; the B_m are returned. Every index is one check
+    counted in the report, and failures are appended in index order. g1
+    must start at 1 and cover (count - 1) // b; a shorter g1 is a ValueError
+    raised before any check.
+    """
+    if len(g1) <= (count - 1) // b:
+        raise ValueError(
+            f"g1 has {len(g1)} terms; {count} coefficients at b={b} need {(count - 1) // b + 1}"
+        )
+    checked, base, bad = lucas_check((count - 1,), b, residue, lambda n: g1[n[0]])
     report.checked += checked
     report.failures += [CongruenceFailure(b, a, n, lhs, rhs) for a, n, _, lhs, rhs in bad]
     return list(base.values())
@@ -383,7 +407,10 @@ def verify_apery(family: str, t: int, b_max: int, total_max: int) -> CongruenceR
     Covers every b = 1..b_max, m = 0..b-1, and n >= 0 with m + n b <=
     total_max, in order of m + n b within each b. The right side uses the
     integer-only sequence values, so the check crosses two independent
-    routes to the same numbers.
+    routes to the same numbers. Each residue of a sum is reduced once per
+    process (_apery_residue), so a sweep at a smaller or equal b_max after
+    one at a larger b_max reduces nothing; b = 1 comes first and walks n
+    upward, so the sums it builds step row to row.
     """
     _check_ints(t=(t, 0), b_max=(b_max, 1), total_max=(total_max, 0))
     at_one = catalog.apery_number_sequence(family, total_max)
@@ -391,7 +418,6 @@ def verify_apery(family: str, t: int, b_max: int, total_max: int) -> CongruenceR
         subject=f"apery-{family}",
         ranges={"t": t, "b_max": b_max, "total_max": total_max},
     )
-    coeffs = [apery_polynomial(family, t, n) for n in range(total_max + 1)]
     for b in range(1, b_max + 1):
-        check_cofactor(coeffs, at_one, b, report)
+        check_cofactor(lambda x: _apery_residue(family, t, x[0], b), total_max + 1, at_one, b, report)
     return report

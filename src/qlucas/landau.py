@@ -376,7 +376,7 @@ def enumerate_cells(
     """
     _check_ints(budget=(budget, 1))
     vectors = sorted(spec.distinct_nonzero_vectors(), key=lambda t: (-sum(t), t))
-    net = {t: spec.e.count(t) - spec.f.count(t) for t in vectors}
+    net = spec.net
     counts = counts if counts is not None else SearchCounts()
     results: list[CellSignature] = []
 

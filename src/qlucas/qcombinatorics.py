@@ -20,9 +20,10 @@ tuples. One bounded cache memoizes the route under three key shapes: base
 residues (c, b), pooled powers (base, ex, b), and the residue of a whole
 exponent vector (b, (c, ex), ...). The last pays off only when a process
 asks again for the same (exponent vector, b), as a sweep at several b_max
-does; a one-shot sweep gains little from it. Base residues, squarings and
-products are all reduced by intpoly's one helper, which folds by q^b = 1
-before the division loop.
+does; a one-shot sweep gains little from it. congruence keeps the residues
+of its Apery-type sums in the same cache under a fourth shape,
+(family, t, n, b). Base residues, squarings and products are all reduced by
+intpoly's one helper, which folds by q^b = 1 before the division loop.
 
 Internally every q-factorial is a multiset of binomial factors (1 - q^k)
 together with a power of (1 - q): [m]_q! = prod_{k<=m} (1 - q^k) * (1-q)^(-m).
@@ -103,7 +104,11 @@ def _check_vector(v: Sequence[int], length: int, name: str) -> Vector:
 
 @dataclass(frozen=True)
 class RatioSpec:
-    """Numerator/denominator factorial vectors over dim counting variables."""
+    """Numerator/denominator factorial vectors over dim counting variables.
+
+    net maps each distinct vector to its count in e minus its count in f, its
+    net multiplicity; it is derived from e and f, not a field.
+    """
 
     dim: int
     e: tuple[Vector, ...]
@@ -114,6 +119,11 @@ class RatioSpec:
         for name in ("e", "f"):
             norm = tuple(_check_vector(v, self.dim, f"{name} vector") for v in getattr(self, name))
             object.__setattr__(self, name, norm)
+        net: dict[Vector, int] = {}
+        for sign, vecs in ((1, self.e), (-1, self.f)):
+            for t in vecs:
+                net[t] = net.get(t, 0) + sign
+        object.__setattr__(self, "net", net)
 
     @property
     def total_e(self) -> Vector:
@@ -190,22 +200,24 @@ def _ratio_step(spec: RatioSpec, value: IntPolynomial, src: Vector, dst: Vector)
 
     Between the points, [m]_q! of a vector whose dot product moves from a to
     c gains (1 - q^k) for a < k <= c, or loses it for c < k <= a, and the
-    (1 - q)^(-m) powers net into k = 1. Multiplies in ascending k, then
-    divides largest k first; raises NotDivisible if the result is not a
-    polynomial.
+    (1 - q)^(-m) powers net into k = 1. Each distinct vector is visited once,
+    with its net multiplicity (spec.net); one of net 0 changes nothing.
+    Multiplies in ascending k, then divides largest k first; raises
+    NotDivisible if the result is not a polynomial.
     """
     counts: dict[int, int] = {}
     ones = 0
-    for sign, vecs in ((1, spec.e), (-1, spec.f)):
-        for t in vecs:
-            a, c = dot(t, src), dot(t, dst)
-            if c > a:
-                for k in range(a + 1, c + 1):
-                    counts[k] = counts.get(k, 0) + sign
-            elif c < a:
-                for k in range(c + 1, a + 1):
-                    counts[k] = counts.get(k, 0) - sign
-            ones += sign * (a - c)
+    for t, m in spec.net.items():
+        if not m:
+            continue
+        a, c = dot(t, src), dot(t, dst)
+        if c > a:
+            for k in range(a + 1, c + 1):
+                counts[k] = counts.get(k, 0) + m
+        elif c < a:
+            for k in range(c + 1, a + 1):
+                counts[k] = counts.get(k, 0) - m
+        ones += m * (a - c)
     if ones:
         counts[1] = counts.get(1, 0) + ones
     factors = sorted(counts.items())
@@ -333,13 +345,16 @@ def exponent_residue(exponents: Mapping[int, int], b: int) -> IntPolynomial:
 
 
 # Memo of the residue route, shared by all sweeps of a process, with
-# coefficient tuples as values, under three key shapes that cannot collide:
+# coefficient tuples as values, under four key shapes that cannot collide:
 # base residues cyclotomic(c) mod cyclotomic(b) keyed (c, b), pooled powers
-# base^ex mod cyclotomic(b) keyed (base, ex, b) with base a tuple, and
-# residues of a whole exponent vector keyed (b, (c, ex), ...). An insert
-# into a cache holding _RESIDUE_POWER_CACHE_MAX entries empties it first.
-# One pass of the sweep benchmark (90 calls, seeds 1-3) leaves about 2,500
-# entries: 661 base residues, about 950 powers and 850-900 whole residues.
+# base^ex mod cyclotomic(b) keyed (base, ex, b) with base a tuple, residues
+# of a whole exponent vector keyed (b, (c, ex), ...), and residues of the
+# Apery-type sums of congruence keyed (family, t, n, b) with family a str.
+# An insert into a cache holding _RESIDUE_POWER_CACHE_MAX entries empties
+# it first. One pass of the sweep benchmark (90 calls, seeds 1-3) leaves
+# about 2,500 entries: 661 base residues, about 950 powers and 850-900 whole
+# residues. One pass of the apery benchmark leaves about 1,200 entries, all
+# residues of sums: 4 (family, t) pairs, b <= 12 and n <= 24.
 _residue_power_cache: dict[tuple, tuple[int, ...]] = {}
 _RESIDUE_POWER_CACHE_MAX = 2**16
 

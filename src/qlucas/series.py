@@ -32,7 +32,7 @@ from .congruence import (
     check_cofactor,
     lucas_check,
 )
-from .intpoly import IntPolynomial
+from .intpoly import IntPolynomial, reduce_mod_cyclotomic
 from .landau import check_landau
 from .qcombinatorics import RatioSpec, _check_ints, _check_vector, dot, iter_box, q_ratio_box
 
@@ -220,7 +220,9 @@ def extract_cofactor(
             f"sequence has {len(g1)} terms, needs {order // b + 1}"
         )
     report = CongruenceReport(subject="cofactor", ranges={"b": b, "order": order})
-    residues = check_cofactor([fq.coeff((i,)) for i in range(order + 1)], g1, b, report)
+    residues = check_cofactor(
+        lambda x: reduce_mod_cyclotomic(fq.coeff(x), b), order + 1, g1, b, report
+    )
     return residues, report
 
 

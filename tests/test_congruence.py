@@ -3,12 +3,13 @@
 import concurrent.futures
 import functools
 import pickle
+import random
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qlucas import catalog, congruence, qcombinatorics
+from qlucas import catalog, congruence, intpoly, qcombinatorics
 from qlucas.congruence import (
     CongruenceFailure,
     HypothesisViolated,
@@ -411,7 +412,9 @@ class TestApery:
         coeffs = [apery_polynomial("b", 1, n) for n in range(10)]
         coeffs[5] = coeffs[5] + 1
         report = congruence.CongruenceReport("test", {})
-        residues = congruence.check_cofactor(coeffs, seq, 2, report)
+        residues = congruence.check_cofactor(
+            lambda x: reduce_mod_cyclotomic(coeffs[x[0]], 2), len(coeffs), seq, 2, report
+        )
         assert residues == [reduce_mod_cyclotomic(c, 2) for c in coeffs[:2]]
         assert report.checked == 10
         assert [(f.a, f.n) for f in report.failures] == [((1,), (2,))]
@@ -436,6 +439,96 @@ class TestApery:
             apery_polynomial("c", 0, 2)
         with pytest.raises(ValueError):
             verify_apery("a", 0, 0, 8)
+
+    def test_cofactor_check_refuses_a_short_sequence(self):
+        coeffs = [apery_polynomial("a", 0, n) for n in range(10)]
+        seq = catalog.apery_number_sequence("a", 4)
+        report = congruence.CongruenceReport("test", {})
+        residue = lambda x: reduce_mod_cyclotomic(coeffs[x[0]], 2)
+        with pytest.raises(ValueError, match=r"^g1 has 4 terms; 10 coefficients at b=2 need 5$"):
+            congruence.check_cofactor(residue, 10, seq[:4], 2, report)
+        assert report.checked == 0 and report.ok
+        congruence.check_cofactor(residue, 9, seq, 2, report)
+        assert report.checked == 9 and report.ok
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty the sum memo and the residue cache before and after a test."""
+
+    def clear():
+        apery_polynomial.cache_clear()
+        qcombinatorics._residue_power_cache.clear()
+
+    clear()
+    yield clear
+    clear()
+
+
+def counting_reductions(monkeypatch) -> list:
+    """Count every call of intpoly's reduction helper, under each module's name for it."""
+    calls = []
+    real = intpoly._reduce_cyclotomic
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    for module in (intpoly, qcombinatorics, congruence):
+        monkeypatch.setattr(module, "_reduce_cyclotomic", counted, raising=False)
+    return calls
+
+
+class TestAperyResidueMemo:
+    # Residues of the Apery sums live in the process-wide residue cache,
+    # keyed (family, t, n, b), next to the residues of the ratio sweeps.
+    SWEEPS = [
+        functools.partial(verify_apery, family, t, b_max, total)
+        for family in ("a", "b")
+        for t in (0, 2, 3)
+        for b_max in (5, 2, 7)
+        for total in (9, 14)
+    ] + [functools.partial(verify_ratio_congruence, APERY, b_max, (1, 1)) for b_max in (4, 2)]
+
+    def shuffled_sweeps(self):
+        calls = list(self.SWEEPS)
+        random.Random(23).shuffle(calls)
+        return calls
+
+    def test_interleaved_sweeps_match_cold_reports(self, cold_caches):
+        calls = self.shuffled_sweeps()
+        cold = []
+        for call in calls:
+            cold_caches()
+            cold.append(call().to_json_dict())
+        cold_caches()
+        assert [call().to_json_dict() for call in calls] == cold
+        assert [call().to_json_dict() for call in calls] == cold
+
+    def test_repeat_at_equal_or_smaller_b_max_reduces_nothing(self, monkeypatch, cold_caches):
+        first = verify_apery("b", 1, 6, 12).to_json_dict()
+        calls = counting_reductions(monkeypatch)
+        assert verify_apery("b", 1, 6, 12).to_json_dict() == first
+        for b_max, total in ((3, 12), (6, 7), (1, 0)):
+            assert verify_apery("b", 1, b_max, total).ok
+        assert calls == []
+        assert ("b", 1, 12, 6) in qcombinatorics._residue_power_cache
+        # A larger b_max reduces only the new moduli, once per index.
+        verify_apery("b", 1, 8, 12)
+        assert sorted(calls) == [7] * 13 + [8] * 13
+
+    def test_cache_emptied_mid_sweep_keeps_reports(self, monkeypatch, cold_caches):
+        calls = self.shuffled_sweeps()
+        warm = [call().to_json_dict() for call in calls]
+        cold_caches()
+        monkeypatch.setattr(qcombinatorics, "_RESIDUE_POWER_CACHE_MAX", 10)
+        for call, want in zip(calls, warm):
+            assert call().to_json_dict() == want
+            assert len(qcombinatorics._residue_power_cache) <= 10
+        # One sweep stores more residues than the cap, so the cache was emptied
+        # in the middle of it.
+        verify_apery("b", 1, 6, 12)
+        assert ("b", 1, 0, 1) not in qcombinatorics._residue_power_cache
 
 
 class TestPreconditions:

@@ -462,7 +462,8 @@ COUNT_ARGUMENTS = {
     "verify_ratio_congruence-b_max": lambda v: verify_ratio_congruence(CENTRAL, v, (2,)),
     "verify_plucas_at_one-p_max": lambda v: verify_plucas_at_one(CENTRAL, v, (2,)),
     "verify_inter2_identity-b": lambda v: verify_inter2_identity(CENTRAL, v, (2,)),
-    "verify_apery-t": lambda v: verify_apery("a", v, 2, 3),
+    # t = 1 is swept first: the residue memo must not answer for True
+    "verify_apery-t": lambda v: (verify_apery("a", 1, 3, 3), verify_apery("a", v, 3, 3)),
     "verify_apery-b_max": lambda v: verify_apery("a", 0, v, 3),
     "verify_apery-total_max": lambda v: verify_apery("a", 0, 2, v),
     "verify_ratio_congruence-jobs": lambda v: verify_ratio_congruence(CENTRAL, 2, (2,), jobs=v),
