@@ -84,7 +84,7 @@ def _rational(text: str) -> Fraction:
 
 def _is_file(source: str) -> bool:
     """Whether a --spec or --series argument names a file, not a built-in."""
-    return source.endswith(".json") or os.path.sep in source or os.path.exists(source)
+    return source.endswith(".json") or os.path.sep in source or os.path.isfile(source)
 
 
 def _read_json(source: str):
@@ -225,7 +225,7 @@ def _cmd_check_landau(args):
 
 
 def _cmd_verify_congruence(args):
-    return _verdict(verify_ratio_congruence(args.spec, args.b_max, args.n_box, jobs=args.jobs))
+    return _verdict(verify_ratio_congruence(args.spec, args.b_max, args.n_box))
 
 
 def _cmd_verify_plucas(args):
@@ -343,7 +343,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--b-max", type=_positive_int, required=True)
     p.add_argument("--n-box", type=_csv_ints, required=True)
-    p.add_argument("--jobs", type=_positive_int, default=1)
 
     p = add("verify-plucas", _cmd_verify_plucas, "sweep the prime case at q = 1")
     p.add_argument("--spec", required=True)

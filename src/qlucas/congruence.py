@@ -27,16 +27,14 @@ the whole process (see _apery_residue).
 
 Counts and boxes are checked before the hypotheses, by
 qcombinatorics._check_ints and _check_vector: a bool or non-integer, or a
-value below the least one allowed (b_max and jobs 1, p_max 2), is a
-ValueError that names the argument. Only verify_ratio_congruence takes
-jobs; the q = 1 sweep runs in one process (see verify_plucas_at_one).
+value below the least one allowed (b_max 1, p_max 2), is a ValueError that
+names the argument. Every sweep runs in the calling process.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass, field
 from functools import cache, lru_cache, partial
 from operator import add
@@ -184,7 +182,7 @@ def lucas_check(
 
 
 def _sweep_moduli(
-    at_one: bool, spec: RatioSpec, moduli: list[int], n_box: tuple[int, ...]
+    at_one: bool, spec: RatioSpec, moduli: Sequence[int], n_box: tuple[int, ...]
 ) -> tuple[int, list[CongruenceFailure]]:
     """(checked, failures) of Q(q; a + n b) == Q(q; a) Q(1; n) modulo
     cyclotomic(b) for each b, or with at_one of its q = 1 shadow modulo the
@@ -207,44 +205,22 @@ def _sweep_moduli(
 # -- ratio congruence ----------------------------------------------------------------
 
 
-def verify_ratio_congruence(
-    spec: RatioSpec, b_max: int, n_box: Sequence[int], jobs: int = 1
-) -> CongruenceReport:
+def verify_ratio_congruence(spec: RatioSpec, b_max: int, n_box: Sequence[int]) -> CongruenceReport:
     """Sweep Q(q; a + n b) == Q(q; a) Q(1; n) modulo cyclotomic(b).
 
     Runs over every modulus b = 1..b_max, offset a in the box below b, and
     step n in the given box, inclusive; within a modulus in the order of
     a + n b. Requires a balanced spec that passes both step-function
-    hypotheses. jobs > 1 distributes moduli over worker processes, at most
-    one per modulus and per CPU; the merged report is identical to the
-    serial one. A residue is specific to its modulus, so splitting the
-    moduli splits the work. Worker k takes moduli[k::workers], which spreads
-    the costly large moduli; a stable sort by modulus restores the serial
-    order of the failures.
+    hypotheses.
     """
     n_box = _check_vector(n_box, spec.dim, "n_box")
-    _check_ints(b_max=(b_max, 1), jobs=(jobs, 1))
+    _check_ints(b_max=(b_max, 1))
     _require_hypotheses(spec, "ratio congruence", subdomain=True)
     report = CongruenceReport(
         subject="ratio-congruence",
         ranges={"spec": spec.to_json_dict(), "b_max": b_max, "n_box": list(n_box)},
     )
-    moduli = list(range(1, b_max + 1))
-    workers = min(jobs, len(moduli), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here: the process pool machinery costs every import of
-        # qlucas tens of milliseconds and only jobs > 1 needs it
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = [moduli[k::workers] for k in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(_sweep_moduli, [False] * workers, [spec] * workers, chunks, [n_box] * workers)
-            )
-    else:
-        parts = [_sweep_moduli(False, spec, moduli, n_box)]
-    report.checked = sum(checked for checked, _ in parts)
-    report.failures = sorted((f for _, part in parts for f in part), key=lambda f: f.b)
+    report.checked, report.failures = _sweep_moduli(False, spec, range(1, b_max + 1), n_box)
     return report
 
 
@@ -254,12 +230,11 @@ def verify_ratio_congruence(
 def verify_plucas_at_one(spec: RatioSpec, p_max: int, n_box: Sequence[int]) -> CongruenceReport:
     """Sweep the integer congruence Q(1; a + n p) == Q(1; a) Q(1; n) mod p.
 
-    Runs over every prime p <= p_max, in one process. Same hypotheses, order
-    and report shape as verify_ratio_congruence; residues are reported as
-    constant polynomials. The box of each prime contains the boxes of all
-    smaller primes, so the sweep's cost is the q = 1 values of the largest
-    box, which the serial sweep computes once; worker processes splitting
-    the primes would each recompute nearly all of them.
+    Runs over every prime p <= p_max. Same hypotheses, order and report
+    shape as verify_ratio_congruence; residues are reported as constant
+    polynomials. The box of each prime contains the boxes of all smaller
+    primes, so the sweep's cost is the q = 1 values of the largest box,
+    which the sweep computes once.
     """
     n_box = _check_vector(n_box, spec.dim, "n_box")
     _check_ints(p_max=(p_max, 2))
@@ -313,7 +288,7 @@ def _apery_row(family: str, n: int) -> tuple[IntPolynomial, ...]:
     Steps each entry of row n - 1 when that was the last row built, else
     walks the antidiagonal from (0, n), where Q is 1. The slot is emptied
     before stepping and refilled only with a complete row, so an exception
-    or a concurrent call can cost a cold walk but never reuse a partial row.
+    or another thread's call can cost a cold walk but never reuse a partial row.
     """
     global _last_row
     spec = catalog.apery_family_spec(family)

@@ -88,6 +88,24 @@ class TestComputationCommands:
         assert envelope["report"]["integral"] is True
         assert envelope["report"]["coefficients"] == ["1", "1", "2", "1", "1"]
 
+    def test_directory_named_like_a_builtin(self, capsys, tmp_path, monkeypatch):
+        # a folder is not a spec or series file, so the built-in name wins
+        for name in ("central", "g1"):
+            (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path)
+        code, envelope = run_json(capsys, ["qratio", "--spec", "central", "--point", "2"])
+        assert code == 0
+        assert envelope["report"]["coefficients"] == ["1", "1", "2", "1", "1"]
+        code, envelope = run_json(
+            capsys, ["find-relations", "--series", "g1", "--dx", "1", "--dy", "2", "--order", "30"]
+        )
+        assert (code, envelope["report"]["count"]) == (0, 1)
+        # a path separator or a .json suffix still names a file
+        for source in (os.path.join(".", "central"), "missing.json"):
+            code, out, err = run(capsys, ["qratio", "--spec", source, "--point", "2"])
+            assert (code, out) == (2, "")
+            assert err.startswith("error: [Errno ")
+
     def test_qratio_mod_hits_zero(self, capsys):
         code, envelope = run_json(
             capsys, ["qratio", "--spec", "central", "--point", "2", "--mod", "3"]
@@ -269,7 +287,6 @@ class TestExitCodes:
         (["qbinom", "5", "2", "--mod"], "--mod"),
         (["qratio", "--spec", "central", "--point", "3", "--mod"], "--mod"),
         (["verify-congruence", "--spec", "central", "--n-box", "2", "--b-max"], "--b-max"),
-        (["verify-congruence", "--spec", "central", "--b-max", "3", "--n-box", "2", "--jobs"], "--jobs"),
         (["verify-apery", "--family", "a", "--t", "1", "--n-max", "4", "--b-max"], "--b-max"),
         (["verify-inter2", "--spec", "central", "--n-box", "2", "--b"], "--b"),
         (["extract-cofactor", "--spec", "central", "--order", "4", "--b"], "--b"),
@@ -283,10 +300,13 @@ class TestExitCodes:
             assert err.startswith(f"usage: qlucas {command[0]} ")
             assert err.endswith(f"argument {flag}: expected a positive integer, got '{value}'\n")
 
-    def test_plucas_has_no_jobs_flag(self, capsys):
-        # the prime sweep runs in one process
-        code, out, err = run(capsys, ["verify-plucas", "--spec", "central", "--p-max", "5",
-                                      "--n-box", "2", "--jobs", "2"])
+    @pytest.mark.parametrize("command", [
+        ["verify-congruence", "--spec", "central", "--b-max", "3"],
+        ["verify-plucas", "--spec", "central", "--p-max", "5"],
+    ], ids=lambda command: command[0])
+    def test_sweep_has_no_jobs_flag(self, capsys, command):
+        # every sweep runs in one process
+        code, out, err = run(capsys, command + ["--n-box", "2", "--jobs", "2"])
         assert (code, out) == (2, "")
         assert err.startswith("usage: qlucas ")
         assert err.endswith("unrecognized arguments: --jobs 2\n")
@@ -490,10 +510,14 @@ class TestOneProcess:
         assert (proc.returncode, proc.stdout) == (0, "0\n")
 
     def test_import_leaves_out_the_process_pool(self):
-        # only jobs > 1 needs multiprocessing, so a serial command never loads it
-        probe = "import sys, qlucas.cli; print('multiprocessing' in sys.modules)"
+        # every sweep runs in one process, so neither import nor a sweep loads it
+        probe = (
+            "import sys, qlucas.cli; from qlucas import catalog, verify_ratio_congruence; "
+            "assert verify_ratio_congruence(catalog.central_binomial_spec(), 4, (2,)).ok; "
+            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+        )
         proc = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": SRC}, timeout=120,
         )
-        assert (proc.returncode, proc.stdout) == (0, "False\n")
+        assert (proc.returncode, proc.stdout) == (0, "[]\n")

@@ -1,8 +1,6 @@
 """congruence tests: known-true sweeps, gate enforcement, dual-route values."""
 
-import concurrent.futures
 import functools
-import pickle
 import random
 
 import pytest
@@ -66,10 +64,10 @@ class TestVerifyRatioCongruence:
         assert rep.ok
         assert rep.checked == sum(b * b * 9 for b in range(1, 5))
 
-    def test_parallel_matches_serial(self):
-        serial = verify_ratio_congruence(CENTRAL, 5, (3,), jobs=1)
-        parallel = verify_ratio_congruence(CENTRAL, 5, (3,), jobs=2)
-        assert serial.to_json_dict() == parallel.to_json_dict()
+    def test_takes_no_jobs(self):
+        # every sweep runs in the calling process
+        with pytest.raises(TypeError, match="jobs"):
+            verify_ratio_congruence(CENTRAL, 5, (3,), jobs=2)
 
     def test_refuses_failing_spec(self):
         with pytest.raises(HypothesisViolated):
@@ -109,72 +107,6 @@ class TestPointMemo:
         expected = list(iter_box(exponent_box)) if exponent_box else []
         assert sorted(calls["cyclotomic_exponents"]) == expected
         assert sorted(calls["q_ratio_at_one"]) == list(iter_box(at_one_box))
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Replace the worker pool by an in-process one; return its max_workers values."""
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return sizes
-
-
-class TestWorkerPool:
-    def test_parallel_apery_matches_serial(self):
-        serial = verify_ratio_congruence(APERY, 5, (2, 2), jobs=1)
-        parallel = verify_ratio_congruence(APERY, 5, (2, 2), jobs=2)
-        assert serial.to_json_dict() == parallel.to_json_dict()
-
-    def test_pool_clamped_to_tasks_and_cpus(self, monkeypatch, pool_sizes):
-        monkeypatch.setattr(congruence.os, "cpu_count", lambda: 4)
-        verify_ratio_congruence(CENTRAL, 3, (2,), jobs=64)  # 3 moduli
-        verify_ratio_congruence(CENTRAL, 9, (2,), jobs=64)  # 4 CPUs
-        verify_ratio_congruence(CENTRAL, 9, (2,), jobs=2)
-        verify_ratio_congruence(CENTRAL, 1, (2,), jobs=64)  # one modulus: serial
-        monkeypatch.setattr(congruence.os, "cpu_count", lambda: None)
-        verify_ratio_congruence(CENTRAL, 9, (2,), jobs=64)  # unknown CPUs: serial
-        assert pool_sizes == [3, 4, 2]
-
-    def test_rejects_fewer_than_one_job(self, pool_sizes):
-        for jobs in (0, -1):
-            with pytest.raises(ValueError, match="jobs"):
-                verify_ratio_congruence(CENTRAL, 3, (2,), jobs=jobs)
-        assert pool_sizes == []
-
-    def test_interleaved_failures_keep_serial_order(self, monkeypatch, pool_sizes):
-        # Workers take every k-th modulus; the merged failures must still be
-        # ordered as the serial sweep orders them.
-        def sweep(at_one, spec, moduli, n_box):
-            return len(moduli), [CongruenceFailure(b, None, n_box, P((b,)), P(())) for b in moduli]
-
-        monkeypatch.setattr(congruence, "_sweep_moduli", sweep)
-        monkeypatch.setattr(congruence.os, "cpu_count", lambda: 3)
-        report = verify_ratio_congruence(CENTRAL, 7, (0,), jobs=3)
-        assert pool_sizes == [3]
-        assert report.checked == 7
-        assert [f.b for f in report.failures] == list(range(1, 8))
-
-    def test_failure_pickle_round_trip(self):
-        # What a worker sends back: a failure carrying polynomial residues.
-        failure = CongruenceFailure(5, (1,), (2,), P((1, -2, 0, 5)), P((3,)))
-        copy = pickle.loads(pickle.dumps(failure))
-        assert copy == failure
-        assert type(copy.lhs_residue) is IntPolynomial
-        assert copy.to_json_dict() == failure.to_json_dict()
 
 
 class TestLucasCheck:
@@ -236,20 +168,17 @@ class TestForcedMismatches:
         (5, (2,), (2,), (1,), (4,)),
     ]
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_ratio_sweep(self, monkeypatch, pool_sizes, jobs):
+    def test_ratio_sweep(self, monkeypatch):
         off_by_one_at_two(monkeypatch)
-        report = verify_ratio_congruence(CENTRAL, 3, (2,), jobs=jobs)
+        report = verify_ratio_congruence(CENTRAL, 3, (2,))
         assert report.checked == (1 + 2 + 3) * 3
         assert failure_records(report) == self.RATIO
-        assert pool_sizes == ([2] if jobs == 2 else [])
 
-    def test_plucas_sweep(self, monkeypatch, pool_sizes):
+    def test_plucas_sweep(self, monkeypatch):
         off_by_one_at_two(monkeypatch)
         report = verify_plucas_at_one(CENTRAL, 5, (2,))
         assert report.checked == (2 + 3 + 5) * 3
         assert failure_records(report) == self.PLUCAS
-        assert pool_sizes == []
 
 
 class TestVerifyPlucasAtOne:

@@ -40,7 +40,7 @@ COMMANDS = {
     "qratio-apery": ["qratio", "--spec", "apery", "--point", "3,3"],
     "qratio-at-one": ["qratio", "--spec", "central", "--point", "40", "--at-one"],
     "check-landau": ["check-landau", "--spec", "apery"],
-    "verify-congruence": ["verify-congruence", "--spec", "central:2", "--b-max", "20", "--n-box", "8", "--jobs", "4"],
+    "verify-congruence": ["verify-congruence", "--spec", "central:2", "--b-max", "20", "--n-box", "8"],
     "verify-plucas": ["verify-plucas", "--spec", "central", "--p-max", "11", "--n-box", "6"],
     "verify-inter2": ["verify-inter2", "--spec", "central", "--b", "5", "--n-box", "6"],
     "build-series": ["build-series", "--spec", "apery", "--cap", "4,4"],

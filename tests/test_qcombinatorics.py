@@ -466,7 +466,6 @@ COUNT_ARGUMENTS = {
     "verify_apery-t": lambda v: (verify_apery("a", 1, 3, 3), verify_apery("a", v, 3, 3)),
     "verify_apery-b_max": lambda v: verify_apery("a", 0, v, 3),
     "verify_apery-total_max": lambda v: verify_apery("a", 0, 2, v),
-    "verify_ratio_congruence-jobs": lambda v: verify_ratio_congruence(CENTRAL, 2, (2,), jobs=v),
     "check_landau-budget": lambda v: check_landau(CENTRAL, budget=v),
     "enumerate_cells-budget": lambda v: enumerate_cells(CENTRAL, budget=v),
     "q_ratio_mod-b": lambda v: q_ratio_mod(CENTRAL, (2,), v),
@@ -516,7 +515,6 @@ LOWER_BOUNDS = {
     "verify_apery-t": 0,
     "verify_apery-b_max": 1,
     "verify_apery-total_max": 0,
-    "verify_ratio_congruence-jobs": 1,
     "check_landau-budget": 1,
     "enumerate_cells-budget": 1,
     "q_ratio_mod-b": 1,

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlucas.catalog import central_power_sequence, geometric_sequence
 from qlucas.relations import (
@@ -196,6 +198,36 @@ class TestValidation:
     def test_negative_degrees_rejected(self):
         with pytest.raises(ValueError):
             find_relations([geometric_sequence(40)], dx=-1, dy=1, order=20)
+
+
+ORDER = 20
+COEFFS = st.lists(st.integers(-3, 3), min_size=ORDER + 1, max_size=ORDER + 1)
+
+
+def naive_column(series, mono, order):
+    """Coefficients of x^i * y_1^a_1 * ... through order, by repeated products."""
+    col = [1] + [0] * order
+    for y, a in zip(series, mono[1:]):
+        for _ in range(a):
+            col = [sum(col[k] * y[r - k] for k in range(r + 1)) for r in range(order + 1)]
+    i = mono[0]
+    return [0] * i + col[: order + 1 - i]
+
+
+class TestFindRelationsProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(COEFFS, COEFFS, st.booleans())
+    def test_count_is_the_nullity(self, y1, other, planted):
+        # planted: y2 = y1^2 + x y1, so y2 - y1^2 - x y1 vanishes
+        square = naive_column([y1], (0, 2), ORDER)
+        y2 = [s + p for s, p in zip(square, [0] + y1)] if planted else other
+        found = find_relations([y1, y2], 1, 2, ORDER)
+        columns = [naive_column([y1, y2], mono, ORDER) for mono in _monomials(2, 1, 2)]
+        matrix = [list(row) for row in zip(*columns)]
+        pivot_cols, _ = fraction_kernel(matrix)
+        assert len(found) == len(columns) - len(pivot_cols)
+        assert all(verify_relation(c, [y1, y2], c.verified_order) for c in found)
+        assert found or not planted
 
 
 class TestJson:
