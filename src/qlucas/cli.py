@@ -88,7 +88,10 @@ def _is_file(source: str) -> bool:
 
 
 def _read_json(source: str):
-    return json.loads(Path(source).read_text(encoding="utf-8"))
+    try:
+        return json.loads(Path(source).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"{source}: JSON input nested too deeply") from None
 
 
 def _load_spec(source: str) -> RatioSpec:

@@ -3,11 +3,12 @@
 Given sequences y_1..y_s (power series in x known to some order, with exact
 integer or Fraction coefficients), find_relations looks for polynomials
 P(x, y_1..y_s), of degree at most dx in x and total degree at most dy in the
-y's, with P(x, f_1(x)..f_s(x)) = 0 through the requested order. The linear
-system over the monomial columns is cleared to integers row by row and solved
-by fraction-free Bareiss elimination; nullspace vectors are normalized to
-content 1 with positive leading coefficient in a graded monomial order with
-x below y_1 below ... below y_s.
+y's, with P(x, f_1(x)..f_s(x)) = 0 through the requested order. One row
+builder gives the linear system over the monomial columns to the search and
+to verify_relation. The search clears the rows to integers and solves them by
+fraction-free Bareiss elimination and integer back-substitution; nullspace
+vectors are normalized to content 1 with positive leading coefficient in a
+graded monomial order with x below y_1 below ... below y_s.
 
 A returned candidate annihilates the data up to verified_order; only that
 much is claimed. An empty result is a proof of full column rank, i.e. no
@@ -168,36 +169,33 @@ def _bareiss_echelon(matrix: list[list[int]]) -> tuple[list[list[int]], list[tup
 
 def _nullspace_vector(
     rows: list[list[int]], pivots: list[tuple[int, int]], free_col: int, n: int
-) -> list[Fraction]:
-    x = [Fraction(0)] * n
-    x[free_col] = Fraction(1)
-    for r, c in reversed(pivots):
-        if c > free_col:
-            x[c] = Fraction(0)
-            continue
-        acc = Fraction(0)
+) -> list[int]:
+    """Kernel vector zero beyond free_col, x[free_col] being the last pivot before it.
+
+    Bareiss leaves that pivot as the pivot minor's determinant, so by Cramer's
+    rule every entry is an integer minor and each division below is exact."""
+    x = [0] * n
+    before = [(r, c) for r, c in pivots if c < free_col]
+    x[free_col] = rows[before[-1][0]][before[-1][1]] if before else 1
+    for r, c in reversed(before):
         row = rows[r]
-        for j in range(c + 1, n):
-            if x[j]:
-                acc += row[j] * x[j]
-        x[c] = -acc / row[c]
+        x[c] = -sum(row[j] * x[j] for j in range(c + 1, free_col + 1)) // row[c]
     return x
 
 
-def _normalize(vec: Sequence[Fraction], monomials: list[Monomial]) -> tuple[tuple[Monomial, int], ...]:
-    denom = 1
-    for v in vec:
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in vec]
-    content = 0
-    for v in ints:
-        content = math.gcd(content, v)
-    if content > 1:
-        ints = [v // content for v in ints]
-    lead = max(i for i, v in enumerate(ints) if v)
-    if ints[lead] < 0:
-        ints = [-v for v in ints]
-    return tuple((monomials[i], v) for i, v in enumerate(ints) if v)
+def _normalize(vec: Sequence[int], monomials: list[Monomial]) -> tuple[tuple[Monomial, int], ...]:
+    content = math.gcd(*vec)
+    if vec[max(i for i, v in enumerate(vec) if v)] < 0:
+        content = -content
+    return tuple((monomials[i], v // content) for i, v in enumerate(vec) if v)
+
+
+def _rows(
+    powers: dict[tuple[int, ...], list[Number]], monomials: Sequence[Monomial], order: int
+) -> list[list[Number]]:
+    """Row r holds each monomial's coefficient of x^r, through `order`."""
+    bases = [(mono[0], powers[mono[1:]]) for mono in monomials]
+    return [[base[r - i] if r >= i else 0 for i, base in bases] for r in range(order + 1)]
 
 
 def _validate_series(series: Sequence[Sequence[Number]], order: int, err: type) -> None:
@@ -227,23 +225,15 @@ def find_relations(
     """
     _check_ints(dx=(dx, 0), dy=(dy, 0), order=(order, 0), margin=(margin, 0))
     _validate_series(series, order, OrderTooSmall)
-    monomials = _monomials(len(series), dx, dy)
-    ncols = len(monomials)
+    ncols = (dx + 1) * math.comb(dy + len(series), len(series))
     if order < ncols + margin:
         raise OrderTooSmall(
             f"order {order} is too small for {ncols} columns "
             f"plus margin {margin}"
         )
-    powers = _power_products(series, dy, order)
-    columns = []
-    for mono in monomials:
-        i, alpha = mono[0], mono[1:]
-        base = powers[alpha]
-        columns.append([0] * i + list(base[: order + 1 - i]))
-    matrix = [
-        _clear_row([columns[c][r] for c in range(ncols)]) for r in range(order + 1)
-    ]
-    rows, pivots = _bareiss_echelon(matrix)
+    monomials = _monomials(len(series), dx, dy)
+    rows = [_clear_row(row) for row in _rows(_power_products(series, dy, order), monomials, order)]
+    rows, pivots = _bareiss_echelon(rows)
     pivot_cols = {c for _, c in pivots}
     out = []
     for free_col in range(ncols):
@@ -269,13 +259,6 @@ def verify_relation(
         )
     _validate_series(series, order, InsufficientTruncation)
     dy = max(sum(mono[1:]) for mono, _ in cand.terms)
-    powers = _power_products(series, dy, order)
-    residual = [0] * (order + 1)
-    for mono, coeff in cand.terms:
-        i, alpha = mono[0], mono[1:]
-        base = powers[alpha]
-        for r in range(i, order + 1):
-            v = base[r - i]
-            if v:
-                residual[r] += coeff * v
-    return all(v == 0 for v in residual)
+    monomials, coeffs = zip(*cand.terms)
+    rows = _rows(_power_products(series, dy, order), monomials, order)
+    return all(sum(c * v for c, v in zip(coeffs, row)) == 0 for row in rows)

@@ -375,6 +375,19 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("command, option", [
+        (["check-landau"], "--spec"),
+        (["find-relations", "--dx", "1", "--dy", "1", "--order", "12"], "--series"),
+        (["verify-ld", "--p", "2", "--order", "2"], "--series"),
+    ], ids=["check-landau", "find-relations", "verify-ld"])
+    def test_deeply_nested_json_input(self, capsys, tmp_path, command, option):
+        # the JSON decoder gives up with RecursionError, which once exited 1
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, command + [option, str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: JSON input nested too deeply\n"
+
     def test_series_repeated_exponent(self, capsys, tmp_path):
         # read with the last entry winning, this file passed verify-ld and
         # exited 0, though with its first x^2 entry (1, 1, 2) the series fails

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlucas import relations
 from qlucas.catalog import central_power_sequence, geometric_sequence
 from qlucas.relations import (
     OrderTooSmall,
@@ -66,7 +67,7 @@ class TestKernel:
             if fc in pivot_cols:
                 continue
             vec = _nullspace_vector(rows, pivots, fc, n)
-            assert vec == oracle_basis[fc]
+            assert [Fraction(v, vec[fc]) for v in vec] == oracle_basis[fc]
 
     def test_forced_rank_deficiency(self):
         rng = random.Random(7)
@@ -80,7 +81,31 @@ class TestKernel:
         assert pivot_cols == oracle_pivots
         assert len(pivot_cols) <= 4
         for fc in oracle_basis:
-            assert _nullspace_vector(rows, pivots, fc, 7) == oracle_basis[fc]
+            vec = _nullspace_vector(rows, pivots, fc, 7)
+            assert [Fraction(v, vec[fc]) for v in vec] == oracle_basis[fc]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_integer_vector_of_low_rank_products(self, data):
+        # M = B C has rank at most k; zeroed columns add free columns of their own
+        m, n = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+        k = data.draw(st.integers(1, 4))
+        entries = st.integers(-6, 6)
+        b = data.draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=m, max_size=m))
+        c = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=k, max_size=k))
+        zeroed = data.draw(st.sets(st.integers(0, n - 1)))
+        matrix = [
+            [0 if j in zeroed else sum(b[i][t] * c[t][j] for t in range(k)) for j in range(n)]
+            for i in range(m)
+        ]
+        rows, pivots = _bareiss_echelon(matrix)
+        _, oracle_basis = fraction_kernel(matrix)
+        assert {col for _, col in pivots} | set(oracle_basis) == set(range(n))
+        for fc, want in oracle_basis.items():
+            vec = _nullspace_vector(rows, pivots, fc, n)
+            assert all(type(v) is int for v in vec)
+            assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in matrix)
+            assert [Fraction(v, vec[fc]) for v in vec] == want
 
 
 class TestMonomialOrder:
@@ -99,6 +124,16 @@ class TestMonomialOrder:
     def test_counts(self):
         assert len(_monomials(2, 4, 4)) == 5 * 15
         assert len(_monomials(1, 1, 2)) == 6
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_refusal_counts_the_box(self, s):
+        # the refusal counts the columns without listing them
+        for dx in range(4):
+            for dy in range(5):
+                with pytest.raises(OrderTooSmall) as exc:
+                    find_relations([[1]] * s, dx, dy, 0)
+                ncols = len(_monomials(s, dx, dy))
+                assert str(exc.value) == f"order 0 is too small for {ncols} columns plus margin 5"
 
 
 class TestFindRelations:
@@ -176,6 +211,15 @@ class TestValidation:
             find_relations(data, dx=1, dy=2, order=10, margin=5)
         assert find_relations(data, dx=1, dy=2, order=10, margin=4)
 
+    def test_refusal_lists_no_monomials(self, monkeypatch):
+        # the box of 3 series at dy = 60 has 39,711 monomials; order 10 needs none
+        def refuse(*box):
+            raise AssertionError(f"listed the monomials of {box}")
+
+        monkeypatch.setattr(relations, "_monomials", refuse)
+        with pytest.raises(OrderTooSmall, match="39711 columns"):
+            find_relations([geometric_sequence(11)] * 3, dx=0, dy=60, order=10)
+
     def test_negative_margin_rejected(self):
         # A negative margin would admit an underdetermined system.
         with pytest.raises(ValueError, match="margin"):
@@ -228,6 +272,36 @@ class TestFindRelationsProperty:
         assert len(found) == len(columns) - len(pivot_cols)
         assert all(verify_relation(c, [y1, y2], c.verified_order) for c in found)
         assert found or not planted
+
+
+MONOMIALS = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+NONZERO = st.integers(-3, 3).filter(bool)
+FRACTION_COEFFS = st.lists(
+    st.fractions(-3, 3, max_denominator=4), min_size=ORDER + 1, max_size=ORDER + 1
+)
+
+
+class TestVerifyRelationProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(COEFFS, FRACTION_COEFFS),
+        MONOMIALS,
+        NONZERO,
+        st.dictionaries(MONOMIALS, NONZERO, min_size=1, max_size=4),
+    )
+    def test_matches_naive_residual(self, y1, mono, delta, drawn):
+        # y2 = y1^2 + x y1 plants y2 - y1^2 - x y1; the mutation moves one coefficient
+        square = naive_column([y1], (0, 2), ORDER)
+        y2 = [s + p for s, p in zip(square, [0] + y1)]
+        planted = {(0, 0, 1): 1, (0, 2, 0): -1, (1, 1, 0): -1}
+        mutated = {**planted, mono: planted.get(mono, 0) + delta}
+        for terms in (planted, mutated, drawn):
+            terms = {m: c for m, c in terms.items() if c}
+            columns = {m: naive_column([y1, y2], m, ORDER) for m in terms}
+            residual = [sum(c * columns[m][r] for m, c in terms.items()) for r in range(ORDER + 1)]
+            cand = RelationCandidate(tuple(sorted(terms.items())), ORDER)
+            assert verify_relation(cand, [y1, y2], ORDER) == (not any(residual))
+        assert verify_relation(RelationCandidate(tuple(planted.items()), ORDER), [y1, y2], ORDER)
 
 
 class TestJson:
