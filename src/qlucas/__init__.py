@@ -22,7 +22,6 @@ from .intpoly import (
     IntPolynomial,
     NotDivisible,
     cyclotomic,
-    monomial,
     reduce_mod_cyclotomic,
 )
 from .landau import (
@@ -102,7 +101,6 @@ __all__ = [
     "find_relations",
     "in_domain_D",
     "iter_box",
-    "monomial",
     "q_binomial",
     "q_ratio",
     "q_ratio_at_one",

@@ -83,9 +83,6 @@ class IntPolynomial:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IntPolynomial):
             return self.coeffs == other.coeffs
@@ -166,9 +163,6 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def eval_at_one(self) -> int:
-        return sum(self.coeffs)
-
     # -- serialization and display ------------------------------------------
 
     def to_strings(self) -> list[str]:
@@ -217,15 +211,6 @@ def _signed_sum(terms: Iterable[tuple[int, str]]) -> str:
             body = "-" + body
         parts.append(body)
     return " ".join(parts) or "0"
-
-
-def monomial(k: int, c: int = 1) -> IntPolynomial:
-    """c * q**k."""
-    if k < 0:
-        raise ValueError("exponent must be nonnegative")
-    if c == 0:
-        return ZERO
-    return IntPolynomial._raw((0,) * k + (c,))
 
 
 # -- multiplication kernel --------------------------------------------------

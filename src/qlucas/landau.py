@@ -22,7 +22,10 @@ rational grid sample can discover every cell; the tests use that as an oracle.
 Each cell is one record, CellSignature: its floors, a witness point and the
 value of delta there, which the search reads off the floors at the leaf. The
 report keeps the minima of delta over the box and over D, and derives both
-verdicts from them.
+verdicts from them. One search serves both enumerate_cells and check_landau;
+it builds a witness only at the leaves its caller keeps: every cell for
+enumerate_cells, the violating cells for check_landau, whose report keeps
+no other witness. Whether a cell violates is known from its floors alone.
 
 Feasibility is decided by exact Fourier-Motzkin elimination over the
 integers, tracking strictness. The cell search is incremental: each search
@@ -39,12 +42,15 @@ they were, so siblings start from the same levels and nothing is undone when
 a subtree ends; from the first level that keeps nothing new, levels are
 shared, not copied. Each level describes the same set, with the same
 tightest bound per direction, as the child's system eliminated from scratch,
-so internal nodes do no rational arithmetic; a leaf takes its witness by
-back-substitution through its own levels, with midpoints between the
-tightest bounds. The back-substitution also runs in integers, over one
-common denominator, and builds Fractions only for the witness coordinates.
-All arithmetic is exact. The search reports its nodes and kept constraints,
-and its budget caps their sum.
+so internal nodes do no rational arithmetic. A unit vector e_i has floor 0
+on the whole box and its slab 0 <= x_i < 1 is a box bound, which the top
+level already holds or tightens; adding it would keep nothing, so its node
+takes the parent's levels with no elimination at all (still counted as a
+node). A leaf that needs a witness takes it by back-substitution through its
+own levels, with midpoints between the tightest bounds. The back-substitution
+also runs in integers, over one common denominator, and builds Fractions
+only for the witness coordinates. All arithmetic is exact. The search
+reports its nodes and kept constraints, and its budget caps their sum.
 """
 
 from __future__ import annotations
@@ -358,27 +364,33 @@ def _slab_constraints(t: Vector, m: int) -> list[Constraint]:
 # -- cell enumeration --------------------------------------------------------------
 
 
-def enumerate_cells(
-    spec: RatioSpec, budget: int = DEFAULT_BUDGET, counts: Optional[SearchCounts] = None
-) -> tuple[CellSignature, ...]:
-    """All nonempty floor-signature cells of the unit box, with witnesses
-    and values.
+def _search(
+    spec: RatioSpec, budget: int, counts: SearchCounts, witnessed: Callable[[int, bool], bool]
+) -> list[tuple[int, bool, Optional[CellSignature]]]:
+    """Every nonempty cell in search order as (value of delta, whether it
+    lies in D, its CellSignature), the CellSignature built only where
+    witnessed(value, in_domain) holds and None elsewhere.
 
     Vectors are assigned largest component sum first; partial assignments
     that are already infeasible prune the whole subtree. A child node derives
     its elimination levels from its parent's, which stay unchanged, by adding
-    its two slab constraints, and a leaf takes its witness from its own
-    levels and its value of delta from its floors, each weighted by the
-    vector's count in e minus its count in f (a zero vector's floor is 0).
-    The budget bounds the search nodes explored plus the constraints they
-    add to the levels, and raises DimensionTooLarge when exceeded; a budget
-    below 1 is a ValueError. Both are tallied in counts, if given.
+    its two slab constraints. A unit vector e_i (component sum 1) has floor 0
+    on the whole box, and its one slab 0 <= x_i < 1 is a box bound that the
+    top level already holds, or a tighter one, so its node takes the parent's
+    levels as they are; the node is still charged. A leaf reads its value of
+    delta off its floors, each weighted by the vector's count in e minus its
+    count in f (a zero vector's floor is 0), and back-substitutes a witness
+    through its own levels only when it is witnessed. Budget and counts are
+    as in enumerate_cells.
     """
     _check_ints(budget=(budget, 1))
     vectors = sorted(spec.distinct_nonzero_vectors(), key=lambda t: (-sum(t), t))
+    # each vector with its slabs, one per floor value; a unit vector's one slab adds nothing
+    slabs = [
+        (t, [_slab_constraints(t, m) if sum(t) > 1 else [] for m in range(sum(t))]) for t in vectors
+    ]
     net = spec.net
-    counts = counts if counts is not None else SearchCounts()
-    results: list[CellSignature] = []
+    leaves: list[tuple[int, bool, Optional[CellSignature]]] = []
 
     def charge(nodes: int, constraints: int) -> None:
         counts.nodes += nodes
@@ -388,20 +400,44 @@ def enumerate_cells(
 
     def walk(idx: int, assigned: list[tuple[Vector, int]], parent: Levels, new: list[Constraint]):
         charge(1, 0)
-        levels = _extend(parent, new, charge)
+        levels = _extend(parent, new, charge) if new else parent
         if levels is None:
             return
-        if idx == len(vectors):
-            witness = RationalPoint(_witness(levels))
+        if idx == len(slabs):
             value = sum(net[t] * m for t, m in assigned)
-            results.append(CellSignature(tuple(sorted(assigned)), witness, value))
+            in_domain = any(m >= 1 for _, m in assigned)
+            cell = None
+            if witnessed(value, in_domain):
+                witness = RationalPoint(_witness(levels))
+                cell = CellSignature(tuple(sorted(assigned)), witness, value)
+            leaves.append((value, in_domain, cell))
             return
-        t = vectors[idx]
-        for m in range(sum(t)):
-            walk(idx + 1, assigned + [(t, m)], levels, _slab_constraints(t, m))
+        t, cons = slabs[idx]
+        for m, new in enumerate(cons):
+            walk(idx + 1, assigned + [(t, m)], levels, new)
 
     walk(0, [], ({},) * (spec.dim + 1), _box_constraints(spec.dim))
-    return tuple(results)
+    return leaves
+
+
+def enumerate_cells(
+    spec: RatioSpec, budget: int = DEFAULT_BUDGET, counts: Optional[SearchCounts] = None
+) -> tuple[CellSignature, ...]:
+    """All nonempty floor-signature cells of the unit box, with witnesses
+    and values, in search order; every cell gets its witness.
+
+    The budget bounds the search nodes explored, unit-vector nodes included,
+    plus the constraints they add to the levels, and raises DimensionTooLarge
+    when exceeded; a budget below 1 is a ValueError. Both are tallied in
+    counts, if given.
+    """
+    counts = counts if counts is not None else SearchCounts()
+    return tuple(cell for _, _, cell in _search(spec, budget, counts, lambda *_: True))
+
+
+def _violates(value: int, in_domain: bool) -> bool:
+    """Whether a cell breaks a hypothesis: delta < 1 in D, delta < 0 outside."""
+    return value < (1 if in_domain else 0)
 
 
 def check_landau(spec: RatioSpec, budget: int = DEFAULT_BUDGET) -> LandauReport:
@@ -410,19 +446,20 @@ def check_landau(spec: RatioSpec, budget: int = DEFAULT_BUDGET) -> LandauReport:
     Integrality holds iff delta >= 0 on every cell; the stronger hypothesis
     additionally needs delta >= 1 on every cell inside D (vacuously true when
     D is empty, in which case the domain minimum is reported as None); the
-    report reads both from the minima. Violating cells carry exact rational
-    witnesses. Specs whose column sums disagree are still analyzed; the
-    minima then refer to the unit box only.
+    report reads both from the minima. The search, budget and counts are
+    enumerate_cells', but only violating cells get a witness, as they are the
+    only cells the report keeps: whether a cell violates is known from its
+    floors before the witness is built. Specs whose column sums disagree are
+    still analyzed; the minima then refer to the unit box only.
     """
     counts = SearchCounts()
-    cells = enumerate_cells(spec, budget, counts)
-    domain_values = [c.value for c in cells if c.in_domain]
+    leaves = _search(spec, budget, counts, _violates)
     return LandauReport(
         spec=spec,
-        min_value_overall=min(c.value for c in cells),
-        min_value_on_D=min(domain_values, default=None),
-        num_cells=len(cells),
-        violating_cells=tuple(c for c in cells if c.value < (1 if c.in_domain else 0)),
+        min_value_overall=min(value for value, _, _ in leaves),
+        min_value_on_D=min((value for value, in_domain, _ in leaves if in_domain), default=None),
+        num_cells=len(leaves),
+        violating_cells=tuple(cell for _, _, cell in leaves if cell is not None),
         nodes=counts.nodes,
         constraints=counts.constraints,
     )

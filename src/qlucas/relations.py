@@ -54,9 +54,6 @@ class RelationCandidate:
     def num_series(self) -> int:
         return len(self.terms[0][0]) - 1 if self.terms else 0
 
-    def coefficient_map(self) -> dict[Monomial, int]:
-        return dict(self.terms)
-
     def to_json_dict(self) -> dict:
         return {
             "terms": [[list(mono), coeff] for mono, coeff in self.terms],

@@ -8,9 +8,19 @@ from qlucas.intpoly import (
     IntPolynomial,
     NotDivisible,
     cyclotomic,
-    monomial,
     reduce_mod_cyclotomic,
 )
+
+
+def monomial(k: int, c: int = 1) -> IntPolynomial:
+    """c * q**k for k >= 0."""
+    assert k >= 0, k
+    return IntPolynomial((0,) * k + (c,))
+
+
+def is_monic(p: IntPolynomial) -> bool:
+    """Whether p is nonzero with leading coefficient 1."""
+    return bool(p.coeffs) and p.coeffs[-1] == 1
 
 
 def q_integer(n: int) -> IntPolynomial:
@@ -37,7 +47,7 @@ def congruent_mod_cyclotomic(a: IntPolynomial, b: IntPolynomial, m: int) -> bool
 
 def long_division(a: IntPolynomial, m: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
     """(quotient, remainder) of a by a monic m, by schoolbook long division."""
-    assert m.is_monic(), m
+    assert is_monic(m), m
     dm = len(m.coeffs) - 1
     rem = list(a.coeffs)
     quo = [0] * max(len(rem) - dm, 0)

@@ -327,7 +327,7 @@ class TestApery:
             seq = catalog.apery_number_sequence(family, 12)
             for t in (0, 1, 2):
                 for n in range(13):
-                    assert apery_polynomial(family, t, n).eval_at_one() == seq[n]
+                    assert apery_polynomial(family, t, n).evaluate(1) == seq[n]
 
     def test_clean_sweeps(self):
         rep = verify_apery("a", 1, 5, 12)

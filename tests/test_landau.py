@@ -13,11 +13,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qlucas import catalog
+from qlucas import catalog, landau
 from qlucas.landau import (
     DEFAULT_BUDGET,
     CellSignature,
     DimensionTooLarge,
+    LandauReport,
     RationalPoint,
     SearchCounts,
     _box_constraints,
@@ -152,6 +153,56 @@ CATALOG_SPECS = [
     for name in ("central:1", "central:2", "central:3", "binom:1", "binom:2", "apery", "inverse-central")
 ] + [catalog.apery_family_spec("b")]
 
+REFS_PATH = Path(__file__).resolve().parents[1] / "bench" / "landau_refs.json"
+
+
+def _pool_specs():
+    # the benchmark's decide pool: 840 specs of dimension 1-3 with their
+    # recorded verdicts
+    return json.loads(REFS_PATH.read_text())["specs"]
+
+
+@st.composite
+def specs_with_unit_vectors(draw):
+    """Random specs of dimension 1 to 3, balanced or not, in which unit
+    vectors are drawn as often as all other vectors together."""
+    dim = draw(st.integers(1, 3))
+    units = st.sampled_from([tuple(int(i == j) for i in range(dim)) for j in range(dim)])
+    vec = st.one_of(units, st.tuples(*[st.integers(0, 2)] * dim).filter(any))
+    e = draw(st.lists(vec, min_size=1, max_size=4))
+    f = draw(st.lists(vec, max_size=4))
+    return RatioSpec(dim, tuple(e), tuple(f))
+
+
+def report_from_cells(spec):
+    """The report check_landau should give, built from every cell that
+    enumerate_cells finds, witnesses included, and its counts."""
+    counts = SearchCounts()
+    cells = enumerate_cells(spec, counts=counts)
+    return LandauReport(
+        spec=spec,
+        min_value_overall=min(c.value for c in cells),
+        min_value_on_D=min((c.value for c in cells if c.in_domain), default=None),
+        num_cells=len(cells),
+        violating_cells=tuple(c for c in cells if c.value < (1 if c.in_domain else 0)),
+        nodes=counts.nodes,
+        constraints=counts.constraints,
+    )
+
+
+def counting(monkeypatch, name):
+    """Replace landau.<name> by a wrapper that counts its calls; returns the
+    one-element list holding the count."""
+    calls = [0]
+    original = getattr(landau, name)
+
+    def wrapper(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(landau, name, wrapper)
+    return calls
+
 
 class TestRationalPoint:
     def test_validation(self):
@@ -256,6 +307,33 @@ class TestEnumerateCells:
         assert len(enumerate_cells(APERY, budget=48)) == 4
         with pytest.raises(DimensionTooLarge):
             enumerate_cells(APERY, budget=47)
+
+    @pytest.mark.parametrize(
+        "name, nodes, constraints", [("central", 5, 4), ("binom", 7, 11)]
+    )
+    def test_budget_charges_unit_vector_nodes(self, name, nodes, constraints):
+        # both specs end in unit vectors, whose nodes take their parent's
+        # levels without elimination but are charged as nodes all the same
+        spec = catalog.builtin_spec(name)
+        counts = SearchCounts()
+        enumerate_cells(spec, budget=nodes + constraints, counts=counts)
+        assert (counts.nodes, counts.constraints) == (nodes, constraints)
+        rep = check_landau(spec, budget=nodes + constraints)
+        assert (rep.nodes, rep.constraints) == (nodes, constraints)
+        with pytest.raises(DimensionTooLarge):
+            enumerate_cells(spec, budget=nodes + constraints - 1)
+        with pytest.raises(DimensionTooLarge):
+            check_landau(spec, budget=nodes + constraints - 1)
+
+    @pytest.mark.parametrize("name", ["central", "binom"])
+    def test_unit_vector_nodes_skip_elimination(self, name, monkeypatch):
+        # central: the root and the two floors of (2,) eliminate, the two
+        # nodes of (1,) do not; binom: the root and the two floors of (1, 1)
+        # eliminate, the four nodes of (1, 0) and (0, 1) do not
+        calls = counting(monkeypatch, "_extend")
+        rep = check_landau(catalog.builtin_spec(name))
+        assert calls[0] == 3
+        assert rep.nodes == {"central": 5, "binom": 7}[name]
 
     @pytest.mark.parametrize("spec", CATALOG_SPECS, ids=str)
     def test_catalog_specs_within_default_budget(self, spec):
@@ -432,6 +510,31 @@ class TestCheckLandau:
             c for c in cells if c.value < 0 or (c.in_domain and c.value < 1)
         )
 
+    @pytest.mark.parametrize(
+        "spec",
+        CATALOG_SPECS
+        # every 25th pool spec that fails a hypothesis
+        + [
+            RatioSpec(ref["dim"], ref["e"], ref["f"])
+            for ref in _pool_specs()
+            if not (ref["integrality"] and ref["criterion_D"])
+        ][::25],
+        ids=str,
+    )
+    def test_witnesses_only_for_violating_cells(self, spec, monkeypatch):
+        calls = counting(monkeypatch, "_witness")
+        rep = check_landau(spec)
+        assert calls[0] == len(rep.violating_cells)
+        assert rep.ok or rep.violating_cells
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(specs_with_unit_vectors(), balanced_specs(max_dim=3)))
+    @example(INVERSE)
+    @example(RatioSpec(1, ((1,),), ()))
+    @example(RatioSpec(2, ((1, 0), (1, 0), (0, 1)), ((1, 0), (0, 1), (0, 1))))
+    def test_report_equals_one_built_from_all_cells(self, spec):
+        assert check_landau(spec).to_json_dict() == report_from_cells(spec).to_json_dict()
+
     def test_json_shape(self):
         data = check_landau(INVERSE).to_json_dict()
         assert data["integrality"] is False
@@ -442,11 +545,8 @@ class TestCheckLandau:
         assert (data["nodes"], data["constraints"]) == (5, 4)
 
     def test_reference_pool(self):
-        # the benchmark's decide pool: 840 specs of dimension 1-3 with their
-        # recorded verdicts
-        path = Path(__file__).resolve().parents[1] / "bench" / "landau_refs.json"
         fields = ("integrality", "criterion_D", "min_value_overall", "min_value_on_D", "num_cells")
-        refs = json.loads(path.read_text())["specs"]
+        refs = _pool_specs()
         assert len(refs) == 840
         for ref in refs:
             rep = check_landau(RatioSpec(ref["dim"], ref["e"], ref["f"]))

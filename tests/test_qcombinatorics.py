@@ -58,7 +58,7 @@ class TestBasics:
         assert q_factorial(1) == P((1,))
         # [3]! = (1+q)(1+q+q^2)
         assert q_factorial(3) == P((1, 2, 2, 1))
-        assert q_factorial(5).eval_at_one() == 120
+        assert q_factorial(5).evaluate(1) == 120
 
     def test_q_binomial_frozen(self):
         assert q_binomial(2, 1) == P((1, 1))
@@ -89,7 +89,7 @@ class TestBasics:
 
         for n in range(61):
             for k in range(n + 1):
-                assert q_binomial(n, k).eval_at_one() == math.comb(n, k)
+                assert q_binomial(n, k).evaluate(1) == math.comb(n, k)
 
     @given(st.integers(1, 14), st.integers(0, 14))
     def test_q_binomial_pascal(self, n, k):
@@ -167,7 +167,7 @@ class TestQRatioAtOne:
     def test_matches_eval_at_one(self):
         for n1 in range(4):
             for n2 in range(4):
-                assert q_ratio_at_one(APERY, (n1, n2)) == q_ratio(APERY, (n1, n2)).eval_at_one()
+                assert q_ratio_at_one(APERY, (n1, n2)) == q_ratio(APERY, (n1, n2)).evaluate(1)
 
     def test_non_integer(self):
         with pytest.raises(NotDivisible):

@@ -142,7 +142,7 @@ class TestFindRelations:
         found = find_relations(data, dx=1, dy=1, order=20)
         assert len(found) == 1
         cand = found[0]
-        assert cand.coefficient_map() == {(0, 0): 1, (0, 1): -1, (1, 1): 1}
+        assert dict(cand.terms) == {(0, 0): 1, (0, 1): -1, (1, 1): 1}
         assert cand.verified_order == 20
         assert verify_relation(cand, data, 20)
         assert verify_relation(cand, data, 40)
@@ -153,7 +153,7 @@ class TestFindRelations:
         found = find_relations(data, dx=1, dy=2, order=30)
         assert len(found) == 1
         cand = found[0]
-        assert cand.coefficient_map() == {(0, 0): 1, (0, 2): -1, (1, 2): 4}
+        assert dict(cand.terms) == {(0, 0): 1, (0, 2): -1, (1, 2): 4}
         assert verify_relation(cand, data, 30)
         assert verify_relation(cand, data, 60)
 
@@ -172,7 +172,7 @@ class TestFindRelations:
         half = [Fraction(1, 2) ** n for n in range(30)]
         found = find_relations([half], dx=1, dy=1, order=15)
         assert len(found) == 1
-        assert found[0].coefficient_map() == {(0, 0): 2, (0, 1): -2, (1, 1): 1}
+        assert dict(found[0].terms) == {(0, 0): 2, (0, 1): -2, (1, 1): 1}
 
     def test_normalization_is_primitive_and_positive(self):
         doubled = [2 * v for v in geometric_sequence(30)]

@@ -139,7 +139,7 @@ class TestSpecialize:
         s = build_F(APERY, (8, 8))
         out = specialize(s, (0, 0), (1, 1), 8)
         seq = catalog.apery_number_sequence("a", 8)
-        assert [c.eval_at_one() for _, c in out.items()] == seq
+        assert [c.evaluate(1) for _, c in out.items()] == seq
 
     def test_weighting_shifts_q(self):
         s = build_F(CENTRAL, (4,))
