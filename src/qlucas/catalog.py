@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Union
 
-from .qcombinatorics import RatioSpec, _check_ints, q_binomial
+from .qcombinatorics import RatioSpec, _check_ints
 
 Number = Union[int, Fraction]
 
@@ -86,9 +86,28 @@ def central_power_sequence(r: int, order: int) -> list[int]:
 
 
 def gaussian_central_sequence(r: int, order: int, qval: Number) -> list[Number]:
-    """q-binomial(2n, n)^r evaluated at a fixed rational q, n = 0..order."""
+    """q-binomial(2n, n)^r evaluated at a fixed rational q, n = 0..order.
+
+    With q = u/v in lowest terms, G(m, k) = v^(k(m-k)) [m, k]_q is an integer
+    and q-Pascal's rule becomes G(m, k) = v^(m-k) G(m-1, k-1) + u^k G(m-1, k),
+    so [2n, n]_q = G(2n, n) / v^(n^2) without building any polynomial. The
+    values are ints for an int q and Fractions for a Fraction q.
+    """
     _check_ints(r=(r, 1), order=(order, 0))
-    return [q_binomial(2 * n, n).evaluate(qval) ** r for n in range(order + 1)]
+    q = Fraction(qval)
+    u, v = q.numerator, q.denominator
+    u_pow = [u**k for k in range(2 * order + 1)]
+    v_pow = [v**k for k in range(2 * order + 1)]
+    row = [1]  # G(m, k) for k = 0..m
+    out = []
+    for m in range(2 * order + 1):
+        if m:
+            row = [1] + [v_pow[m - k] * row[k - 1] + u_pow[k] * row[k] for k in range(1, m)] + [1]
+        if m % 2 == 0:
+            n = m // 2
+            value = Fraction(row[n], v_pow[n] ** n) ** r
+            out.append(int(value) if isinstance(qval, int) else value)
+    return out
 
 
 def apery_number_sequence(family: str, order: int) -> list[int]:

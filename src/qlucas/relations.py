@@ -10,6 +10,15 @@ fraction-free Bareiss elimination and integer back-substitution; nullspace
 vectors are normalized to content 1 with positive leading coefficient in a
 graded monomial order with x below y_1 below ... below y_s.
 
+Before Bareiss, the search reduces the same cleared rows modulo the prime
+P = 2^61 - 1 and eliminates them one at a time against the basis found so
+far, stopping once the rank modulo P reaches the column count. Full rank
+modulo P is a proof of full rank over Q: some ncols x ncols minor is nonzero
+modulo P, so that integer minor is nonzero. The kernel is then trivial and
+the search returns [] without running Bareiss. A rank below ncols modulo P
+proves nothing (P may divide every full minor), so the search falls back to
+Bareiss over the integers; candidates only ever come from that exact route.
+
 A returned candidate annihilates the data up to verified_order; only that
 much is claimed. An empty result is a proof of full column rank, i.e. no
 relation exists within the given degree box at this truncation; that holds
@@ -37,6 +46,9 @@ Monomial = tuple[int, ...]  # (i, a_1..a_s): x^i * y_1^a_1 ... y_s^a_s
 
 #: Extra rows demanded beyond the column count before a search may run.
 DEFAULT_MARGIN = 5
+
+#: The prime of the rank certificate.
+P = 2**61 - 1
 
 
 class OrderTooSmall(ValueError):
@@ -127,6 +139,26 @@ def _clear_row(row: Sequence[Number]) -> list[int]:
     if denom == 1:
         return [int(v) for v in row]
     return [int(v * denom) for v in row]
+
+
+def _full_rank_mod_p(rows: Sequence[Sequence[int]], ncols: int) -> bool:
+    """Whether the rows have rank ncols modulo P, reducing each against the basis so far."""
+    basis: dict[int, list[int]] = {}  # pivot column -> row entries from it on, the first 1
+    for row in rows:
+        row = [v % P for v in row]
+        for col in range(ncols):
+            v = row[col] % P  # entries are reduced only when read
+            if not v:
+                continue
+            tail = basis.get(col)
+            if tail is None:
+                inv = pow(v, -1, P)
+                basis[col] = [w * inv % P for w in row[col:]]
+                if len(basis) == ncols:
+                    return True
+                break
+            row[col:] = [a - v * b for a, b in zip(row[col:], tail)]
+    return False
 
 
 def _bareiss_echelon(matrix: list[list[int]]) -> tuple[list[list[int]], list[tuple[int, int]]]:
@@ -230,6 +262,8 @@ def find_relations(
         )
     monomials = _monomials(len(series), dx, dy)
     rows = [_clear_row(row) for row in _rows(_power_products(series, dy, order), monomials, order)]
+    if _full_rank_mod_p(rows, ncols):
+        return []
     rows, pivots = _bareiss_echelon(rows)
     pivot_cols = {c for _, c in pivots}
     out = []

@@ -10,6 +10,16 @@ from qlucas.intpoly import (
     cyclotomic,
     reduce_mod_cyclotomic,
 )
+from qlucas.relations import (
+    RelationCandidate,
+    _bareiss_echelon,
+    _clear_row,
+    _monomials,
+    _normalize,
+    _nullspace_vector,
+    _power_products,
+    _rows,
+)
 
 
 def monomial(k: int, c: int = 1) -> IntPolynomial:
@@ -160,3 +170,16 @@ def add_loop(a: tuple[int, ...], b: tuple[int, ...]) -> IntPolynomial:
     for i, c in enumerate(b):
         out[i] += c
     return IntPolynomial(out)
+
+
+def find_relations_bareiss(series, dx: int, dy: int, order: int) -> list[RelationCandidate]:
+    """relations.find_relations with no rank certificate: Bareiss on every system."""
+    monomials = _monomials(len(series), dx, dy)
+    rows = [_clear_row(row) for row in _rows(_power_products(series, dy, order), monomials, order)]
+    rows, pivots = _bareiss_echelon(rows)
+    pivot_cols = {c for _, c in pivots}
+    return [
+        RelationCandidate(_normalize(_nullspace_vector(rows, pivots, fc, len(monomials)), monomials), order)
+        for fc in range(len(monomials))
+        if fc not in pivot_cols
+    ]

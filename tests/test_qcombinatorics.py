@@ -594,6 +594,15 @@ class TestCatalog:
         assert f1[0] == 1 and f1[1] == Fraction(3, 2)
         assert catalog.gaussian_central_sequence(2, 5, 1) == catalog.central_power_sequence(2, 5)
 
+    @pytest.mark.parametrize("qval", [2, 1, -1, 0, Fraction(1, 2), Fraction(-3, 2), Fraction(1), Fraction(0)])
+    def test_gaussian_central_sequence_matches_evaluation(self, qval):
+        # the integer q-Pascal recurrence against [2n, n]_q built in full and evaluated
+        for r in (1, 3):
+            got = catalog.gaussian_central_sequence(r, 12, qval)
+            want = [q_binomial(2 * n, n).evaluate(qval) ** r for n in range(13)]
+            assert got == want
+            assert [type(v) for v in got] == [type(v) for v in want]
+
     def test_builtin_sequence_names(self):
         assert catalog.builtin_sequence("g2", 2) == [1, 4, 36]
         assert catalog.builtin_sequence("apery-a", 2) == [1, 3, 19]

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlucas import relations
-from qlucas.catalog import central_power_sequence, geometric_sequence
+from qlucas.catalog import central_power_sequence, gaussian_central_sequence, geometric_sequence
 from qlucas.relations import (
+    P,
     OrderTooSmall,
     RelationCandidate,
     _bareiss_echelon,
@@ -17,6 +18,8 @@ from qlucas.relations import (
     verify_relation,
 )
 from qlucas.series import InsufficientTruncation
+
+from oracles import find_relations_bareiss
 
 
 def fraction_kernel(matrix):
@@ -302,6 +305,63 @@ class TestVerifyRelationProperty:
             cand = RelationCandidate(tuple(sorted(terms.items())), ORDER)
             assert verify_relation(cand, [y1, y2], ORDER) == (not any(residual))
         assert verify_relation(RelationCandidate(tuple(planted.items()), ORDER), [y1, y2], ORDER)
+
+
+@st.composite
+def relation_boxes(draw):
+    # (series, dx, dy, order) with order = ncols + margin; each series is zero
+    # beyond a drawn support, so short supports plant relations in the box
+    s, dx, dy = draw(st.integers(1, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    order = len(_monomials(s, dx, dy)) + relations.DEFAULT_MARGIN
+    values = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+    series = []
+    for _ in range(s):
+        support = draw(st.integers(0, order + 1))
+        head = draw(st.lists(values, min_size=support, max_size=support))
+        series.append(head + [0] * (order + 1 - support))
+    return series, dx, dy, order
+
+
+def count_bareiss(monkeypatch):
+    calls = []
+    bareiss = relations._bareiss_echelon
+
+    def counting(matrix):
+        calls.append(len(matrix))
+        return bareiss(matrix)
+
+    monkeypatch.setattr(relations, "_bareiss_echelon", counting)
+    return calls
+
+
+class TestRankCertificate:
+    @settings(max_examples=80, deadline=None)
+    @given(relation_boxes())
+    def test_matches_bareiss_oracle(self, box):
+        assert find_relations(*box) == find_relations_bareiss(*box)
+
+    def test_rank_drop_mod_p_falls_back_to_bareiss(self, monkeypatch):
+        # y = 1 + P x: the rows [1, 1] and [0, P] have rank 2 over Q, 1 modulo P
+        calls = count_bareiss(monkeypatch)
+        assert find_relations([[1, P] + [0] * 10], 0, 1, 8) == []
+        assert calls == [9]
+
+    def test_full_rank_mod_p_skips_bareiss(self, monkeypatch):
+        # criterion 9's negative half
+        calls = count_bareiss(monkeypatch)
+        pair = [central_power_sequence(2, 120), central_power_sequence(3, 120)]
+        assert find_relations(pair, dx=4, dy=4, order=120) == []
+        assert calls == []
+
+    def test_relation_found_through_bareiss(self, monkeypatch):
+        calls = count_bareiss(monkeypatch)
+        assert len(find_relations([central_power_sequence(1, 30)], dx=1, dy=2, order=30)) == 1
+        assert calls == [31]
+
+    @pytest.mark.parametrize("qval", [2, 3, Fraction(1, 2), -2])
+    def test_q_analogues_have_no_relation(self, qval):
+        pair = [gaussian_central_sequence(r, 40, Fraction(qval)) for r in (2, 3)]
+        assert find_relations(pair, dx=2, dy=2, order=40) == []
 
 
 class TestJson:
