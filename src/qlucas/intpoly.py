@@ -18,14 +18,16 @@ step.
 
 The linear kernels loop over whole slices, so the per-coefficient work runs
 in C (``map``, ``itertools.accumulate``, ``sum``): addition, multiplication
-by 1 - q^k, exact division by 1 - q^k, and the fold by exponent mod b. The
-two stride loops, the fold (stride b) and the running sums of the division
-(stride k), take whichever of two forms loops fewer times in Python over n
-coefficients: one pass per residue class when stride * stride <= n, else
-one pass per block of stride coefficients. The schoolbook product and the
-division loop of _reduce_cyclotomic keep per-coefficient loops: their rows
-are short on the sweep path, where moving them to ``map`` made the sweep
-benchmark's wall time about a third worse (0.33 s to 0.44 s).
+by 1 - q^k, exact division by 1 - q^k, multiplication by 1 + q^k (private:
+the ratio step's pass for a lost 1 - q^k paired with a gained 1 - q^2k),
+and the fold by exponent mod b. The two stride loops, the fold (stride b)
+and the running sums of the division (stride k), take whichever of two
+forms loops fewer times in Python over n coefficients: one pass per residue
+class when stride * stride <= n, else one pass per block of stride
+coefficients. The schoolbook product and the division loop of
+_reduce_cyclotomic keep per-coefficient loops: their rows are short on the
+sweep path, where moving them to ``map`` made the sweep benchmark's wall
+time about a third worse (0.33 s to 0.44 s).
 """
 
 from __future__ import annotations
@@ -225,7 +227,7 @@ def _mul_schoolbook(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     return out
 
 
-# -- binomial factors (1 - q^k) ----------------------------------------------
+# -- binomial factors (1 - q^k) and (1 + q^k) -------------------------------
 
 
 def mul_one_minus_qk(a: IntPolynomial, k: int) -> IntPolynomial:
@@ -237,6 +239,22 @@ def mul_one_minus_qk(a: IntPolynomial, k: int) -> IntPolynomial:
         return ZERO
     out = list(c) + [0] * k
     out[k:] = map(sub, out[k:], c)  # out[j] -= c[j - k]
+    return IntPolynomial._raw(tuple(out))
+
+
+def _mul_one_plus_qk(a: IntPolynomial, k: int) -> IntPolynomial:
+    """a * (1 + q**k) for k >= 1, in one pass; ValueError for k < 1.
+
+    (1 - q^2k) / (1 - q^k) = 1 + q^k, so the ratio step applies a gained
+    (1 - q^2k) and a lost (1 - q^k) as this one pass.
+    """
+    if k < 1:
+        raise ValueError(f"(1 + q^k) needs k >= 1, got {k}")
+    c = a.coeffs
+    if not c:
+        return ZERO
+    out = list(c) + [0] * k
+    out[k:] = map(add, out[k:], c)  # out[j] += c[j - k]
     return IntPolynomial._raw(tuple(out))
 
 

@@ -28,12 +28,15 @@ intpoly's one helper, which folds by q^b = 1 before the division loop.
 Internally every q-factorial is a multiset of binomial factors (1 - q^k)
 together with a power of (1 - q): [m]_q! = prod_{k<=m} (1 - q^k) * (1-q)^(-m).
 One primitive, _ratio_step, moves a ratio value between two lattice points:
-it nets the factors whose counts change between them, multiplies the gained
-ones in ascending k and then divides the lost ones largest k first. q_ratio
-is the step from the origin, q_binomial the step from the origin to
-(k, n - k) on the two-variable binomial spec, q_ratio_box steps each point
-from its predecessor, and the Apery-type sums step each summand from the
-row before, or along an antidiagonal.
+it nets the factors whose counts change between them and pairs each lost
+(1 - q^k) with a gained (1 - q^2k), as many times as both counts allow,
+since their quotient is 1 + q^k: one pass over a shorter polynomial instead
+of two. It multiplies the remaining gained factors and the (1 + q^k)
+factors together in ascending k, and only then divides the remaining lost
+ones largest k first. q_ratio is the step from the origin, q_binomial the
+step from the origin to (k, n - k) on the two-variable binomial spec,
+q_ratio_box steps each point from its predecessor, and the Apery-type sums
+step each summand from the row before, or along an antidiagonal.
 Dividing last gives the same polynomial and the same fail-fast divisibility
 semantics as whole-factorial division: if the final ratio is a polynomial
 then so is every partial quotient, since it equals the final polynomial
@@ -59,6 +62,7 @@ from .intpoly import (
     ZERO,
     IntPolynomial,
     NotDivisible,
+    _mul_one_plus_qk,
     _mul_schoolbook,
     _reduce_cyclotomic,
     cyclotomic,
@@ -202,8 +206,15 @@ def _ratio_step(spec: RatioSpec, value: IntPolynomial, src: Vector, dst: Vector)
     c gains (1 - q^k) for a < k <= c, or loses it for c < k <= a, and the
     (1 - q)^(-m) powers net into k = 1. Each distinct vector is visited once,
     with its net multiplicity (spec.net); one of net 0 changes nothing.
-    Multiplies in ascending k, then divides largest k first; raises
-    NotDivisible if the result is not a polynomial.
+
+    A lost (1 - q^k) and a gained (1 - q^2k) have the quotient 1 + q^k, so
+    min(losses of k, gains of 2k) of them are taken out of both counts and
+    applied as that many (1 + q^k) passes. Then every multiplication,
+    (1 - q^k) and (1 + q^k) alike, runs in ascending k, and only after them
+    the remaining losses divide, largest k first. Since every multiplication
+    comes first, each partial quotient is the result times the losses not
+    yet divided: it is a polynomial whenever the result is, and if the result
+    is not a polynomial some division raises NotDivisible.
     """
     counts: dict[int, int] = {}
     ones = 0
@@ -220,11 +231,21 @@ def _ratio_step(spec: RatioSpec, value: IntPolynomial, src: Vector, dst: Vector)
         ones += m * (a - c)
     if ones:
         counts[1] = counts.get(1, 0) + ones
-    factors = sorted(counts.items())
-    for k, c in factors:
+    # A lost k pairs only with a gained 2k, and a gained 2k only with a lost
+    # k, so no two pairings compete for a count.
+    muls = []
+    for k, c in list(counts.items()):
+        if c < 0 and counts.get(2 * k, 0) > 0:
+            p = min(-c, counts[2 * k])
+            counts[k] += p
+            counts[2 * k] -= p
+            muls.append((k, _mul_one_plus_qk, p))
+    muls += [(k, mul_one_minus_qk, c) for k, c in counts.items() if c > 0]
+    muls.sort(key=operator.itemgetter(0))
+    for k, kernel, c in muls:
         for _ in range(c):
-            value = mul_one_minus_qk(value, k)
-    for k, c in reversed(factors):
+            value = kernel(value, k)
+    for k, c in sorted(counts.items(), reverse=True):
         for _ in range(-c):
             value = div_one_minus_qk_exact(value, k)
     return value
@@ -234,9 +255,10 @@ def q_ratio(spec: RatioSpec, n: Sequence[int]) -> IntPolynomial:
     """The factorial ratio at n as an exact polynomial: the step from the origin.
 
     Raises NotDivisible (with the offending remainder) if the ratio is not a
-    polynomial at n. Numerator factors are multiplied first; denominator
-    factors divide exactly afterwards in decreasing degree order, so failures
-    surface at the first non-integral quotient.
+    polynomial at n. Numerator factors are multiplied first, each (1 - q^2k)
+    that meets a denominator (1 - q^k) as one (1 + q^k); the other
+    denominator factors divide exactly afterwards in decreasing degree order,
+    so failures surface at the first non-integral quotient.
     """
     n = _check_vector(n, spec.dim, "point")
     return _ratio_step(spec, ONE, (0,) * spec.dim, n)

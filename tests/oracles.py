@@ -8,8 +8,11 @@ from qlucas.intpoly import (
     IntPolynomial,
     NotDivisible,
     cyclotomic,
+    div_one_minus_qk_exact,
+    mul_one_minus_qk,
     reduce_mod_cyclotomic,
 )
+from qlucas.qcombinatorics import dot
 from qlucas.relations import (
     RelationCandidate,
     _bareiss_echelon,
@@ -99,6 +102,25 @@ def cyclotomic_by_division(b: int) -> IntPolynomial:
         if b % d == 0:
             poly = divide_monic(poly, cyclotomic_by_division(d))
     return poly
+
+
+def ratio_step_unpaired(spec, value: IntPolynomial, src, dst) -> IntPolynomial:
+    """value * Q(dst) / Q(src) through the (1 - q^k) factors that change, with
+    no (1 + q^k) pairing: every gained factor multiplied in ascending k, then
+    every lost one divided, largest k first."""
+    counts: dict[int, int] = {}
+    for t, m in spec.net.items():
+        a, c = dot(t, src), dot(t, dst)
+        for k in range(min(a, c) + 1, max(a, c) + 1):
+            counts[k] = counts.get(k, 0) + (m if c > a else -m)
+        counts[1] = counts.get(1, 0) + m * (a - c)
+    for k in sorted(counts):
+        for _ in range(counts[k]):
+            value = mul_one_minus_qk(value, k)
+    for k in sorted(counts, reverse=True):
+        for _ in range(-counts[k]):
+            value = div_one_minus_qk_exact(value, k)
+    return value
 
 
 # The per-coefficient loops that the slice kernels of intpoly replaced, kept

@@ -299,7 +299,7 @@ class TestApery:
 
             return wrapper
 
-        for name in ("mul_one_minus_qk", "div_one_minus_qk_exact"):
+        for name in ("mul_one_minus_qk", "_mul_one_plus_qk", "div_one_minus_qk_exact"):
             monkeypatch.setattr(qcombinatorics, name, counted(getattr(qcombinatorics, name)))
         # Descending, no call finds the row of n - 1, so each walks cold.
         results, counts = [], []

@@ -33,12 +33,15 @@ TIMESTAMP = {
 SUFFIX = {"json": ".json", "text": ".txt"}
 
 # The README's command-line examples, with build-series and specialize cut to
-# small orders, plus a failing verify-ld.
+# small orders, plus a failing verify-ld and two whole polynomials whose ratio
+# step pairs a lost (1 - q^k) with a gained (1 - q^2k).
 COMMANDS = {
     "cyclotomic": ["cyclotomic", "12"],
     "qbinom-mod": ["qbinom", "10", "4", "--mod", "7"],
     "qratio-apery": ["qratio", "--spec", "apery", "--point", "3,3"],
     "qratio-at-one": ["qratio", "--spec", "central", "--point", "40", "--at-one"],
+    "qratio-central3": ["qratio", "--spec", "central:3", "--point", "12"],
+    "qbinom": ["qbinom", "20", "8"],
     "check-landau": ["check-landau", "--spec", "apery"],
     "verify-congruence": ["verify-congruence", "--spec", "central:2", "--b-max", "20", "--n-box", "8"],
     "verify-plucas": ["verify-plucas", "--spec", "central", "--p-max", "11", "--n-box", "6"],

@@ -12,6 +12,7 @@ from qlucas.intpoly import (
     ZERO,
     IntPolynomial,
     NotDivisible,
+    _mul_one_plus_qk,
     _mul_schoolbook,
     _reduce_cyclotomic,
     cyclotomic,
@@ -259,6 +260,23 @@ class TestBinomialFactors:
                 expected = div_outcome(div_one_minus_qk_exact_loop, a, k)
                 assert div_outcome(div_one_minus_qk_exact, a, k) == expected
             assert div_outcome(div_one_minus_qk_exact, exact, k) == quo
+
+    @given(poly(st.lists(wide_ints, max_size=24)), st.integers(1, 12))
+    def test_mul_one_plus_qk_matches_schoolbook(self, a, k):
+        plus = _mul_one_plus_qk(a, k)
+        assert plus.coeffs == P(_mul_schoolbook(a.coeffs, (1,) + (0,) * (k - 1) + (1,))).coeffs
+        # (1 + q^k)(1 - q^k) = 1 - q^2k
+        assert mul_one_minus_qk(plus, k) == mul_one_minus_qk(a, 2 * k)
+
+    def test_mul_one_plus_qk_edges(self):
+        assert _mul_one_plus_qk(ONE, 2) == P((1, 0, 1))
+        assert _mul_one_plus_qk(P((1, -1)), 1) == P((1, 0, -1))
+        assert _mul_one_plus_qk(ZERO, 3) == ZERO
+        for k in (0, -1, -2):
+            with pytest.raises(ValueError):
+                _mul_one_plus_qk(P((1, 2, 3)), k)
+            with pytest.raises(ValueError):
+                _mul_one_plus_qk(ZERO, k)
 
     @given(poly(), st.integers(1, 8))
     def test_binomial_round_trip(self, a, k):

@@ -2,11 +2,12 @@
 
 import importlib.util
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from qlucas import catalog, qcombinatorics
@@ -17,7 +18,7 @@ from qlucas.congruence import (
     verify_plucas_at_one,
     verify_ratio_congruence,
 )
-from qlucas.intpoly import IntPolynomial, NotDivisible, cyclotomic, reduce_mod_cyclotomic
+from qlucas.intpoly import ONE, IntPolynomial, NotDivisible, cyclotomic, reduce_mod_cyclotomic
 from qlucas.landau import check_landau, enumerate_cells
 from qlucas.qcombinatorics import (
     NegativeExponent,
@@ -35,7 +36,13 @@ from qlucas.qcombinatorics import (
 )
 from qlucas.relations import RelationCandidate, find_relations, verify_relation
 from qlucas.series import TruncatedSeries, extract_cofactor, specialize, verify_definition_Ld
-from oracles import divide_monic, exponent_residue_unpooled, q_factorial, q_integer
+from oracles import (
+    divide_monic,
+    exponent_residue_unpooled,
+    q_factorial,
+    q_integer,
+    ratio_step_unpaired,
+)
 from strategies import balanced_specs
 
 P = IntPolynomial
@@ -156,6 +163,58 @@ class TestQRatio:
             q_ratio(CENTRAL, (1, 2))
         with pytest.raises(ValueError):
             q_ratio(CENTRAL, (-1,))
+
+
+def step_outcome(step, *args):
+    """The step's polynomial, or NotDivisible if it raised that."""
+    try:
+        return step(*args)
+    except NotDivisible:
+        return NotDivisible
+
+
+# One-variable specs with no balance condition, so that some steps fail.
+ONE_DIM_SPECS = st.builds(
+    lambda e, f: RatioSpec(1, tuple(e), tuple(f)),
+    st.lists(st.tuples(st.integers(1, 3)), min_size=1, max_size=3),
+    st.lists(st.tuples(st.integers(1, 3)), max_size=3),
+)
+
+
+class TestRatioStepPairing:
+    @given(st.one_of(balanced_specs(), ONE_DIM_SPECS), st.lists(st.integers(0, 6), min_size=4, max_size=4))
+    @example(RatioSpec(1, ((2,),), ((1,), (1,))), [3, 0, 9, 0])
+    @example(RatioSpec(1, ((2,),), ((1,),)), [0, 0, 7, 0])
+    @example(RatioSpec(1, ((1,), (1,)), ((2,),)), [1, 0, 4, 0])
+    @example(RatioSpec(1, ((3,),), ((1,), (1,))), [2, 0, 6, 0])
+    def test_matches_unpaired_oracle(self, spec, coords):
+        src, dst = tuple(coords[: spec.dim]), tuple(coords[2 : 2 + spec.dim])
+        for a, b in ((src, dst), (dst, src)):
+            starts = [ONE]
+            exact = step_outcome(ratio_step_unpaired, spec, ONE, (0,) * spec.dim, a)
+            if exact is not NotDivisible:
+                starts.append(exact)
+            for start in starts:
+                expected = step_outcome(ratio_step_unpaired, spec, start, a, b)
+                assert step_outcome(_ratio_step, spec, start, a, b) == expected
+
+    def test_central3_pass_counts(self, monkeypatch):
+        # Over 0 < k <= 20, 3 gains of (1 - q^2k) each; over 0 < k <= 20, 3
+        # net losses of (1 - q^k) each. The losses at k = 11..20 pair with the
+        # gains at 2k = 22..40; the odd gains 21..39 and the losses 1..10 remain.
+        calls = Counter()
+        for name in ("mul_one_minus_qk", "_mul_one_plus_qk", "div_one_minus_qk_exact"):
+            kernel = getattr(qcombinatorics, name)
+
+            def counted(*args, name=name, kernel=kernel):
+                calls[name] += 1
+                return kernel(*args)
+
+            monkeypatch.setattr(qcombinatorics, name, counted)
+        spec = catalog.builtin_spec("central:3")
+        value = q_ratio(spec, (20,))
+        assert calls == {"mul_one_minus_qk": 30, "_mul_one_plus_qk": 30, "div_one_minus_qk_exact": 30}
+        assert value == q_ratio_cyclotomic(spec, (20,))
 
 
 class TestQRatioAtOne:
