@@ -40,9 +40,11 @@ from .congruence import (
 )
 from .intpoly import IntPolynomial, NotDivisible, cyclotomic
 from .landau import DEFAULT_BUDGET, DimensionTooLarge, check_landau
-from .qcombinatorics import NegativeExponent, RatioSpec, q_binomial, q_ratio, q_ratio_at_one, q_ratio_mod
+from .qcombinatorics import (
+    NegativeExponent, RatioSpec, _check_multisum, multisum, q_binomial, q_ratio, q_ratio_at_one, q_ratio_mod,
+)
 from .relations import DEFAULT_MARGIN, find_relations, verify_relation
-from .series import TruncatedSeries, build_F, extract_cofactor, specialize, verify_definition_Ld
+from .series import TruncatedSeries, _require_integrality, build_F, extract_cofactor, verify_definition_Ld
 
 _ELIDE_LIMIT = 120
 
@@ -250,11 +252,14 @@ def _cmd_build_series(args):
 
 
 def _specialized(args) -> TruncatedSeries:
-    """The --spec series at x_j <- q^t_j x^m_j; writes the --t/--m defaults to args."""
+    """The --spec series at x_j <- q^t_j x^m_j, by multisum once the arguments
+    and then integrality are checked; writes the --t/--m defaults to args."""
     args.t = args.t or (0,) * args.spec.dim
     args.m = args.m or (1,) * args.spec.dim
-    cap = tuple(args.order // mj if mj else 0 for mj in args.m)
-    return specialize(build_F(args.spec, cap), args.t, args.m, args.order)
+    _check_multisum(args.spec, args.t, args.m, args.order)
+    _require_integrality(args.spec)
+    sums = multisum(args.spec, args.t, args.m, args.order)
+    return TruncatedSeries(1, (args.order,), {(N,): s for N, s in enumerate(sums)})
 
 
 def _cmd_specialize(args):

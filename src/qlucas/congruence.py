@@ -17,13 +17,11 @@ in two functools.cache wrappers, since a point a + n b recurs for every b it
 can be written at. The residue itself is memoized by qcombinatorics for the
 whole process, keyed by the exponent vector and b, so a sweep that repeats
 an earlier one's moduli (a larger b_max, or verify_inter2_identity at the
-same scaled points) reuses its residues. The Apery-type sums keep two
-process-wide memos: the 512 most recently used sums, and one slot with the
-last row of summands built, for one family and n, from which the next n of
-that family steps (see apery_polynomial). Their residues modulo
-cyclotomic(b) live in the same residue cache as the ratio residues, keyed
-(family, t, n, b), so verify_apery reduces each sum once per modulus for
-the whole process (see _apery_residue).
+same scaled points) reuses its residues. The Apery-type sums are
+qcombinatorics.multisum of a family's spec; they and their residues modulo
+cyclotomic(b) live in the same cache, keyed (family, t, n) and
+(family, t, n, b), so each is built once for the whole process until the
+cache is emptied (see verify_apery).
 
 Counts and boxes are checked before the hypotheses, by
 qcombinatorics._check_ints and _check_vector: a bool or non-integer, or a
@@ -36,22 +34,21 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cache, lru_cache, partial
-from operator import add
+from functools import cache, partial
 from typing import Callable, Optional, Sequence
 
 from . import catalog
-from .intpoly import ONE, IntPolynomial, _reduce_cyclotomic
+from .intpoly import IntPolynomial, _reduce_cyclotomic
 from .landau import check_landau
 from .qcombinatorics import (
     RatioSpec,
     _cache_put,
     _check_ints,
     _check_vector,
-    _ratio_step,
     _residue_power_cache,
     cyclotomic_exponents,
     exponent_residue,
+    multisum,
     q_ratio_at_one,
     q_ratio_mod,
 )
@@ -278,75 +275,29 @@ def verify_inter2_identity(spec: RatioSpec, b: int, n_box: Sequence[int]) -> Con
 # -- Apery-type q-analogues ----------------------------------------------------------------
 
 
-# The last row of summands built by _apery_row, as (family, n, row), or None.
-_last_row: Optional[tuple[str, int, tuple[IntPolynomial, ...]]] = None
-
-
-def _apery_row(family: str, n: int) -> tuple[IntPolynomial, ...]:
-    """The summands [Q(k, n - k) for k <= n] of the family's ratio Q.
-
-    Steps each entry of row n - 1 when that was the last row built, else
-    walks the antidiagonal from (0, n), where Q is 1. The slot is emptied
-    before stepping and refilled only with a complete row, so an exception
-    or another thread's call can cost a cold walk but never reuse a partial row.
-    """
-    global _last_row
-    spec = catalog.apery_family_spec(family)
-    held, _last_row = _last_row, None
-    if held is not None and held[:2] == (family, n - 1):
-        prev = held[2]
-        row = [_ratio_step(spec, v, (k, n - 1 - k), (k, n - k)) for k, v in enumerate(prev)]
-        row.append(_ratio_step(spec, prev[-1], (n - 1, 0), (n, 0)))
-    else:
-        row = [ONE]
-        for k in range(1, n + 1):
-            row.append(_ratio_step(spec, row[-1], (k - 1, n - k + 1), (k, n - k)))
-    _last_row = (family, n, tuple(row))
-    return _last_row[2]
-
-
-@lru_cache(maxsize=512, typed=True)
 def apery_polynomial(family: str, t: int, n: int) -> IntPolynomial:
     """The degree-weighted Apery-type sum of kind 'a' or 'b' at n.
 
     Sums q^(t k) times the family's ratio (catalog.apery_family_spec) at
-    (k, n - k). That is sum_k q^(t k) qbinom(n, k)^2 qbinom(n+k, k)^r with
-    r = 1 for 'a' and r = 2 for 'b', which the tests check. At q = 1 these
-    collapse to the classical integer sequences
-    (catalog.apery_number_sequence).
-
-    The summands do not depend on t. One module-level slot keeps the last
-    row of them built, for one family and n (_apery_row). A call for n
-    right after n - 1 of the same family steps each summand down a row,
-    from (k, n - 1 - k) to (k, n - k), at most 4 (1 - q^k) factors each, and
-    the new end one from (n - 1, 0) to (n, 0). Any other call walks the
-    antidiagonal cold from (0, n), at 6 ('a') or 8 ('b') factors a step.
-    verify_apery builds n in ascending order, so each of its builds after
-    the first steps. The sum adds the shifted summands into one coefficient
-    list. The memo of sums keeps the 512 most recently used; it is keyed by
-    argument type too, so that True is refused rather than read as the
-    entry for 1.
+    (k, n - k): multisum of that spec at t = (t, 0), m = (1, 1). That is
+    sum_k q^(t k) qbinom(n, k)^2 qbinom(n+k, k)^r with r = 1 for 'a' and
+    r = 2 for 'b', which the tests check. At q = 1 these collapse to the
+    classical integer sequences (catalog.apery_number_sequence). The sum
+    is read from the residue cache under (family, t, n), or on a miss
+    walked to by _apery_sums.
     """
     _check_ints(t=(t, 0), n=(n, 0))
-    row = _apery_row(family, n)
-    total = [0] * max(t * k + len(v.coeffs) for k, v in enumerate(row))
-    for k, v in enumerate(row):
-        lo, hi = t * k, t * k + len(v.coeffs)
-        total[lo:hi] = map(add, total[lo:hi], v.coeffs)
-    return IntPolynomial(total)
+    hit = _residue_power_cache.get((family, t, n))
+    return _apery_sums(family, t, n)[n] if hit is None else IntPolynomial._raw(hit)
 
 
-def _apery_residue(family: str, t: int, n: int, b: int) -> IntPolynomial:
-    """apery_polynomial(family, t, n) modulo cyclotomic(b), memoized in the
-    process-wide residue cache of qcombinatorics under (family, t, n, b).
-
-    The caller has checked t, n and b: the key is built from them as given.
-    """
-    key = (family, t, n, b)
-    hit = _residue_power_cache.get(key)
-    if hit is None:
-        hit = _cache_put(key, tuple(_reduce_cyclotomic(apery_polynomial(family, t, n).coeffs, b)))
-    return IntPolynomial._raw(hit)
+def _apery_sums(family: str, t: int, total: int) -> list[IntPolynomial]:
+    """The family's sums at n <= total, by one walk; each is stored in the
+    residue cache under (family, t, n)."""
+    sums = multisum(catalog.apery_family_spec(family), (t, 0), (1, 1), total)
+    for n, s in enumerate(sums):
+        _cache_put((family, t, n), s.coeffs)
+    return sums
 
 
 def check_cofactor(
@@ -382,10 +333,11 @@ def verify_apery(family: str, t: int, b_max: int, total_max: int) -> CongruenceR
     Covers every b = 1..b_max, m = 0..b-1, and n >= 0 with m + n b <=
     total_max, in order of m + n b within each b. The right side uses the
     integer-only sequence values, so the check crosses two independent
-    routes to the same numbers. Each residue of a sum is reduced once per
-    process (_apery_residue), so a sweep at a smaller or equal b_max after
-    one at a larger b_max reduces nothing; b = 1 comes first and walks n
-    upward, so the sums it builds step row to row.
+    routes to the same numbers. The residue of the sum at n modulo
+    cyclotomic(b) is read from the residue cache under (family, t, n, b), or
+    reduced from the sum under (family, t, n). If that is missing too, the
+    call walks once, to total_max, and keeps the sums for the rest of the
+    call, so a cache emptied mid-sweep costs no second walk.
     """
     _check_ints(t=(t, 0), b_max=(b_max, 1), total_max=(total_max, 0))
     at_one = catalog.apery_number_sequence(family, total_max)
@@ -393,6 +345,18 @@ def verify_apery(family: str, t: int, b_max: int, total_max: int) -> CongruenceR
         subject=f"apery-{family}",
         ranges={"t": t, "b_max": b_max, "total_max": total_max},
     )
+    sums: list[IntPolynomial] = []
+
+    def residue(n: int, b: int) -> IntPolynomial:
+        hit = _residue_power_cache.get((family, t, n, b))
+        if hit is None:
+            coeffs = sums[n].coeffs if sums else _residue_power_cache.get((family, t, n))
+            if coeffs is None:
+                sums[:] = _apery_sums(family, t, total_max)
+                coeffs = sums[n].coeffs
+            hit = _cache_put((family, t, n, b), tuple(_reduce_cyclotomic(coeffs, b)))
+        return IntPolynomial._raw(hit)
+
     for b in range(1, b_max + 1):
-        check_cofactor(lambda x: _apery_residue(family, t, x[0], b), total_max + 1, at_one, b, report)
+        check_cofactor(lambda x: residue(x[0], b), total_max + 1, at_one, b, report)
     return report

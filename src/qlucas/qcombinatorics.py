@@ -1,4 +1,4 @@
-"""q-binomials and multidimensional q-factorial ratios.
+"""q-binomials, multidimensional q-factorial ratios and their multisums.
 
 A RatioSpec holds two tuples of nonnegative integer vectors (e for numerator
 factorials, f for denominator factorials) over d counting variables. For a
@@ -16,31 +16,20 @@ ratio is a polynomial and gives its residue modulo any cyclotomic(b) as a
 product of residue powers; q_ratio_mod takes that route alone and never
 builds the full polynomial. It pools the factors cyclotomic(c) that leave
 the same residue and multiplies the pooled powers on plain coefficient
-tuples. One bounded cache memoizes the route under three key shapes: base
-residues (c, b), pooled powers (base, ex, b), and the residue of a whole
-exponent vector (b, (c, ex), ...). The last pays off only when a process
-asks again for the same (exponent vector, b), as a sweep at several b_max
-does; a one-shot sweep gains little from it. congruence keeps the residues
-of its Apery-type sums in the same cache under a fourth shape,
-(family, t, n, b). Base residues, squarings and products are all reduced by
-intpoly's one helper, which folds by q^b = 1 before the division loop.
+tuples, memoized in one bounded cache (_residue_power_cache). Base
+residues, squarings and products are all reduced by intpoly's one helper,
+which folds by q^b = 1 before the division loop.
 
 Internally every q-factorial is a multiset of binomial factors (1 - q^k)
 together with a power of (1 - q): [m]_q! = prod_{k<=m} (1 - q^k) * (1-q)^(-m).
-One primitive, _ratio_step, moves a ratio value between two lattice points:
-it nets the factors whose counts change between them and pairs each lost
-(1 - q^k) with a gained (1 - q^2k), as many times as both counts allow,
-since their quotient is 1 + q^k: one pass over a shorter polynomial instead
-of two. It multiplies the remaining gained factors and the (1 + q^k)
-factors together in ascending k, and only then divides the remaining lost
-ones largest k first. q_ratio is the step from the origin, q_binomial the
-step from the origin to (k, n - k) on the two-variable binomial spec,
-q_ratio_box steps each point from its predecessor, and the Apery-type sums
-step each summand from the row before, or along an antidiagonal.
-Dividing last gives the same polynomial and the same fail-fast divisibility
-semantics as whole-factorial division: if the final ratio is a polynomial
-then so is every partial quotient, since it equals the final polynomial
-times the remaining denominator factors.
+One primitive, _ratio_step, moves a ratio value between two lattice points,
+multiplying and dividing only the factors that change. q_ratio is the step
+from the origin, q_binomial the step from the origin to (k, n - k) on the
+two-variable binomial spec. One walk, _ratio_walk, steps each point of a
+box or of a simplex {n : m . n <= order} from its predecessor: q_ratio_box
+collects the box, and multisum adds the simplex into the sums
+S(N) = sum over m . n = N of q^(t . n) Q(n), which are the coefficients of
+series.specialize and congruence's Apery-type sums.
 
 Arguments are checked in one place for the whole library: every count a
 public call takes goes through _check_ints, which refuses a non-int or a
@@ -367,16 +356,19 @@ def exponent_residue(exponents: Mapping[int, int], b: int) -> IntPolynomial:
 
 
 # Memo of the residue route, shared by all sweeps of a process, with
-# coefficient tuples as values, under four key shapes that cannot collide:
+# coefficient tuples as values, under five key shapes that cannot collide:
 # base residues cyclotomic(c) mod cyclotomic(b) keyed (c, b), pooled powers
 # base^ex mod cyclotomic(b) keyed (base, ex, b) with base a tuple, residues
-# of a whole exponent vector keyed (b, (c, ex), ...), and residues of the
-# Apery-type sums of congruence keyed (family, t, n, b) with family a str.
-# An insert into a cache holding _RESIDUE_POWER_CACHE_MAX entries empties
-# it first. One pass of the sweep benchmark (90 calls, seeds 1-3) leaves
-# about 2,500 entries: 661 base residues, about 950 powers and 850-900 whole
-# residues. One pass of the apery benchmark leaves about 1,200 entries, all
-# residues of sums: 4 (family, t) pairs, b <= 12 and n <= 24.
+# of a whole exponent vector keyed (b, (c, ex), ...), and, with family a
+# str, the Apery-type sums of congruence keyed (family, t, n) and their
+# residues keyed (family, t, n, b). A whole residue pays off only when a
+# process asks again for the same (exponent vector, b), as a sweep at
+# several b_max does. An insert into a cache holding
+# _RESIDUE_POWER_CACHE_MAX entries empties it first. One pass of the sweep
+# benchmark (90 calls, seeds 1-3) leaves about 2,500 entries: 661 base
+# residues, about 950 powers and 850-900 whole residues. One pass of the
+# apery benchmark leaves about 1,300 entries: for 4 (family, t) pairs, the
+# sums at n <= 24 and their residues at b <= 12.
 _residue_power_cache: dict[tuple, tuple[int, ...]] = {}
 _RESIDUE_POWER_CACHE_MAX = 2**16
 
@@ -417,22 +409,58 @@ def iter_box(cap: Sequence[int]) -> Iterator[Vector]:
 
 
 def q_ratio_box(spec: RatioSpec, cap: Sequence[int]) -> dict[Vector, IntPolynomial]:
-    """Exact ratio values on the whole box 0..cap.
-
-    Walks the box incrementally: each value is one ratio step from its
-    predecessor along the last nonzero axis, which multiplies and divides
-    only the binomial factors that change and keeps the total cost near the
-    output size.
-    Raises NotDivisible at the first point where the ratio fails to be a
-    polynomial.
-    """
+    """Exact ratio values on the box 0..cap, in walk order; raises
+    NotDivisible at the first point where the ratio is not a polynomial."""
     cap = _check_vector(cap, spec.dim, "cap")
-    out: dict[Vector, IntPolynomial] = {}
-    for n in iter_box(cap):
-        if not any(n):
-            out[n] = ONE
-            continue
-        j = max(i for i, c in enumerate(n) if c)
-        pred = n[:j] + (n[j] - 1,) + n[j + 1 :]
-        out[n] = _ratio_step(spec, out[pred], pred, n)
-    return out
+    return dict(_ratio_walk(spec, cap, (0,) * spec.dim, 0))
+
+
+def multisum(spec: RatioSpec, t: Sequence[int], m: Sequence[int], order: int) -> list[IntPolynomial]:
+    """S(N) = sum over n with m . n = N of q^(t . n) Q(n) for N <= order: the
+    coefficients of the ratio's series at x_j <- q^(t_j) x^(m_j), walking
+    only the simplex m . n <= order. Every m_j must be positive; raises
+    NotDivisible at the first point where the ratio is not a polynomial."""
+    t, m = _check_multisum(spec, t, m, order)
+    sums = [[] for _ in range(order + 1)]
+    for n, value in _ratio_walk(spec, tuple(order // mj for mj in m), m, order):
+        total, lo = sums[dot(m, n)], dot(t, n)
+        hi = lo + len(value.coeffs)
+        total += [0] * (hi - len(total))
+        total[lo:hi] = map(operator.add, total[lo:hi], value.coeffs)
+    return [IntPolynomial(total) for total in sums]
+
+
+def _check_multisum(spec: RatioSpec, t: Sequence[int], m: Sequence[int], order: int) -> tuple:
+    """multisum's argument checks, refusing a zero m_j; returns t and m as tuples."""
+    t = _check_vector(t, spec.dim, "t")
+    m = _check_vector(m, spec.dim, "m")
+    _check_ints(order=(order, 0))
+    if 0 in m:
+        raise ValueError(f"m[{m.index(0)}] = 0 folds unboundedly many exponents onto each power")
+    return t, m
+
+
+def _ratio_walk(spec: RatioSpec, cap: Vector, m: Vector, order: int) -> Iterator[tuple]:
+    """(n, Q(n)) for every n in the box 0..cap with m . n <= order (m = 0: the
+    whole box), lexicographically, last axis fastest. Each value is one ratio
+    step from its predecessor along the last nonzero axis j, (n_0..n_j - 1,
+    0..0), met earlier since m >= 0; vals[j] holds the value at the latest
+    (n_0..n_j, 0..0), so the walk keeps one value per axis, not the box."""
+    n = [0] * spec.dim
+    vals = [ONE] * spec.dim
+    free = order
+    yield tuple(n), ONE
+    j = spec.dim - 1
+    while j >= 0:
+        if n[j] < cap[j] and m[j] <= free:
+            src = tuple(n)
+            n[j] += 1
+            free -= m[j]
+            value = _ratio_step(spec, vals[j], src, tuple(n))
+            vals[j:] = [value] * (spec.dim - j)
+            yield tuple(n), value
+            j = spec.dim - 1
+        else:
+            free += m[j] * n[j]
+            n[j] = 0
+            j -= 1

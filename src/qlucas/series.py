@@ -154,10 +154,13 @@ def build_F(spec: RatioSpec, cap: Sequence[int]) -> TruncatedSeries:
     polynomial); raises HypothesisViolated otherwise before any arithmetic.
     """
     cap = tuple(cap)
+    _require_integrality(spec)
+    return TruncatedSeries(spec.dim, cap, q_ratio_box(spec, cap))
+
+
+def _require_integrality(spec: RatioSpec) -> None:
     if not check_landau(spec).integrality:
         raise HypothesisViolated("series coefficients would not all be polynomials")
-    values = q_ratio_box(spec, cap)
-    return TruncatedSeries(spec.dim, cap, values)
 
 
 def specialize(

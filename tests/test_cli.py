@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 import qlucas
-from qlucas import cli
+from qlucas import cli, qcombinatorics
 from qlucas.cli import main
 from qlucas.congruence import apery_polynomial
 from qlucas.intpoly import reduce_mod_cyclotomic
@@ -322,6 +322,29 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith(f"usage: qlucas {command[0]} ")
         assert err.endswith("argument --order: expected a nonnegative integer, got '-1'\n")
+
+    SPECIALIZING = [
+        ["specialize", "--spec", "apery"],
+        ["extract-cofactor", "--spec", "apery", "--b", "2"],
+    ]
+
+    @pytest.mark.parametrize("command", SPECIALIZING, ids=lambda command: command[0])
+    def test_zero_m_refused_before_any_ratio(self, capsys, monkeypatch, command):
+        def no_step(*args):
+            raise RuntimeError("a ratio was computed")
+
+        monkeypatch.setattr(qcombinatorics, "_ratio_step", no_step)
+        code, out, err = run(capsys, command + ["--m", "1,0", "--order", "400"])
+        assert (code, out) == (2, "")
+        assert err == "error: m[1] = 0 folds unboundedly many exponents onto each power\n"
+
+    @pytest.mark.parametrize("m", ["1", "1,1,1"])
+    @pytest.mark.parametrize("command", SPECIALIZING, ids=lambda command: command[0])
+    def test_wrong_length_m_names_m(self, capsys, command, m):
+        code, out, err = run(capsys, command + ["--m", m, "--order", "3"])
+        assert (code, out) == (2, "")
+        m = tuple(map(int, m.split(",")))
+        assert err == f"error: m {m} must be nonnegative integers of length 2\n"
 
     def test_at_one_excludes_mod(self, capsys):
         code, out, err = run(capsys, ["qratio", "--spec", "central", "--point", "3", "--mod", "5", "--at-one"])

@@ -244,74 +244,10 @@ def apery_oracle():
     return {key: gaussian_apery(*key) for key in APERY_KEYS}
 
 
-def assert_slot_holds_one_row():
-    """The row slot is empty or holds one complete, correct row."""
-    if congruence._last_row is None:
-        return
-    family, n, row = congruence._last_row
-    assert row == tuple(gaussian_summand(family, n, k) for k in range(n + 1))
-
-
 class TestApery:
     def test_matches_gaussian_binomial_sum(self, apery_oracle):
-        # The row slot steps only from n - 1 to n of one family: ascending
-        # builds step, descending ones walk cold, and interleaving the
-        # families makes each call find the other family's row.
-        interleaved = sorted(APERY_KEYS, key=lambda key: (key[1], key[2], key[0]))
-        for keys in (APERY_KEYS, APERY_KEYS[::-1], interleaved):
-            apery_polynomial.cache_clear()
-            for key in keys:
-                assert apery_polynomial(*key) == apery_oracle[key], key
-                assert_slot_holds_one_row()
-        apery_polynomial.cache_clear()
-
-    def test_failed_row_step_is_not_reused(self, monkeypatch, apery_oracle):
-        real_step = congruence._ratio_step
-        calls = 0
-
-        def failing_step(*args):
-            nonlocal calls
-            calls += 1
-            if calls == 40:
-                raise RuntimeError("injected")
-            return real_step(*args)
-
-        apery_polynomial.cache_clear()
-        monkeypatch.setattr(congruence, "_ratio_step", failing_step)
-        with pytest.raises(RuntimeError, match="injected"):
-            for n in range(17):
-                apery_polynomial("b", 1, n)
-        assert congruence._last_row is None
-        monkeypatch.setattr(congruence, "_ratio_step", real_step)
         for key in APERY_KEYS:
             assert apery_polynomial(*key) == apery_oracle[key], key
-        assert_slot_holds_one_row()
-        apery_polynomial.cache_clear()
-
-    def test_ascending_build_steps_rows(self, monkeypatch):
-        calls = 0
-
-        def counted(kernel):
-            def wrapper(*args):
-                nonlocal calls
-                calls += 1
-                return kernel(*args)
-
-            return wrapper
-
-        for name in ("mul_one_minus_qk", "_mul_one_plus_qk", "div_one_minus_qk_exact"):
-            monkeypatch.setattr(qcombinatorics, name, counted(getattr(qcombinatorics, name)))
-        # Descending, no call finds the row of n - 1, so each walks cold.
-        results, counts = [], []
-        for order in (range(13), range(12, -1, -1)):
-            apery_polynomial.cache_clear()
-            monkeypatch.setattr(congruence, "_last_row", None)
-            calls = 0
-            results.append({n: apery_polynomial("b", 1, n) for n in order})
-            counts.append(calls)
-        apery_polynomial.cache_clear()
-        assert results[0] == results[1]
-        assert counts[0] < counts[1]
 
     def test_polynomial_frozen(self):
         assert apery_polynomial("a", 0, 0) == P((1,))
@@ -348,17 +284,6 @@ class TestApery:
         assert report.checked == 10
         assert [(f.a, f.n) for f in report.failures] == [((1,), (2,))]
 
-    def test_memo_bound_holds_and_eviction_keeps_results(self):
-        apery_polynomial.cache_clear()
-        keys = [(t, n) for t in range(40) for n in range(15)]
-        first = {key: apery_polynomial("a", *key) for key in keys}
-        info = apery_polynomial.cache_info()
-        assert info.maxsize == 512 and info.currsize == 512
-        assert all(apery_polynomial("a", *key) == value for key, value in first.items())
-        assert apery_polynomial.cache_info().misses >= 2 * len(keys) - 512
-        assert apery_polynomial.cache_info().currsize == 512
-        apery_polynomial.cache_clear()
-
     def test_validation(self):
         with pytest.raises(ValueError):
             verify_apery("c", 0, 4, 8)
@@ -383,10 +308,9 @@ class TestApery:
 
 @pytest.fixture
 def cold_caches():
-    """Empty the sum memo and the residue cache before and after a test."""
+    """Empty the residue cache, which also holds the Apery sums, before and after a test."""
 
     def clear():
-        apery_polynomial.cache_clear()
         qcombinatorics._residue_power_cache.clear()
 
     clear()
@@ -409,8 +333,9 @@ def counting_reductions(monkeypatch) -> list:
 
 
 class TestAperyResidueMemo:
-    # Residues of the Apery sums live in the process-wide residue cache,
-    # keyed (family, t, n, b), next to the residues of the ratio sweeps.
+    # The Apery sums and their residues live in the process-wide residue
+    # cache, keyed (family, t, n) and (family, t, n, b), next to the
+    # residues of the ratio sweeps.
     SWEEPS = [
         functools.partial(verify_apery, family, t, b_max, total)
         for family in ("a", "b")
@@ -458,6 +383,29 @@ class TestAperyResidueMemo:
         # in the middle of it.
         verify_apery("b", 1, 6, 12)
         assert ("b", 1, 0, 1) not in qcombinatorics._residue_power_cache
+
+    def test_emptied_cache_starts_cold(self, monkeypatch, cold_caches):
+        # The cache is the only memo of the sums: once emptied, a repeated
+        # sweep builds every sum again, with as many ratio steps.
+        want = gaussian_apery("b", 1, 10)
+        steps = []
+        real = qcombinatorics._ratio_step
+
+        def counted(*args):
+            steps.append(args[3])
+            return real(*args)
+
+        for module in (qcombinatorics, congruence):
+            monkeypatch.setattr(module, "_ratio_step", counted, raising=False)
+        first = verify_apery("b", 1, 4, 10).to_json_dict()
+        cold = len(steps)
+        assert cold > 0
+        cold_caches()
+        assert verify_apery("b", 1, 4, 10).to_json_dict() == first
+        assert len(steps) == 2 * cold
+        # and leaves the sums there, where apery_polynomial reads them
+        assert apery_polynomial("b", 1, 10) == want
+        assert len(steps) == 2 * cold
 
 
 class TestPreconditions:

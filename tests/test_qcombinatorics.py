@@ -26,6 +26,8 @@ from qlucas.qcombinatorics import (
     _ratio_step,
     cyclotomic_exponents,
     exponent_residue,
+    iter_box,
+    multisum,
     q_binomial,
     q_ratio,
     q_ratio_at_one,
@@ -496,6 +498,8 @@ LATTICE_ENTRY_POINTS = {
     "q_ratio_box": lambda v: q_ratio_box(CENTRAL, v),
     "specialize-t": lambda v: specialize(SERIES_1D, v, (1,), 3),
     "specialize-m": lambda v: specialize(SERIES_1D, (0,), v, 3),
+    "multisum-t": lambda v: multisum(CENTRAL, v, (1,), 3),
+    "multisum-m": lambda v: multisum(CENTRAL, (0,), v, 3),
     "verify_ratio_congruence": lambda v: verify_ratio_congruence(CENTRAL, 2, v),
     "verify_plucas_at_one": lambda v: verify_plucas_at_one(CENTRAL, 2, v),
     "verify_inter2_identity": lambda v: verify_inter2_identity(CENTRAL, 2, v),
@@ -513,6 +517,7 @@ def test_lattice_inputs_refuse_bools_and_non_integers(call, bad):
 # and the argument's name; the other arguments are valid.
 COUNT_ARGUMENTS = {
     "specialize-order": lambda v: specialize(SERIES_1D, (0,), (1,), v),
+    "multisum-order": lambda v: multisum(CENTRAL, (0,), (1,), v),
     "extract_cofactor-b": lambda v: extract_cofactor(SERIES_1D, [1, 1, 1, 1], v, 2),
     "extract_cofactor-order": lambda v: extract_cofactor(SERIES_1D, [1, 1, 1, 1], 2, v),
     "verify_definition_Ld-p": lambda v: verify_definition_Ld(SERIES_1D, v, 1, 2),
@@ -564,6 +569,7 @@ def test_counts_refuse_bools_and_non_integers(entry, bad):
 # The lowest value of each bounded count in COUNT_ARGUMENTS.
 LOWER_BOUNDS = {
     "specialize-order": 0,
+    "multisum-order": 0,
     "extract_cofactor-b": 1,
     "extract_cofactor-order": 0,
     "verify_definition_Ld-k": 1,
@@ -616,6 +622,17 @@ class TestQRatioBox:
         line = q_ratio_box(CENTRAL, (6,))
         for n in range(7):
             assert line[(n,)] == q_binomial(2 * n, n)
+
+    def test_matches_pointwise_in_three_dimensions(self):
+        # A trinomial times a binomial: the walk steps along all three axes
+        # and carries the value of (n_0, 0, 0) and (n_0, n_1, 0) across rows.
+        spec = RatioSpec(
+            3, ((1, 1, 1), (1, 1, 0)), ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 0), (0, 1, 0))
+        )
+        box = q_ratio_box(spec, (2, 3, 2))
+        assert list(box) == list(iter_box((2, 3, 2)))
+        for pt, val in box.items():
+            assert val == q_ratio(spec, pt), pt
 
     def test_failure_propagates(self):
         with pytest.raises(NotDivisible):

@@ -3,11 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qlucas import catalog
 from qlucas.congruence import HypothesisViolated, apery_polynomial, verify_plucas_at_one
-from qlucas.intpoly import IntPolynomial, reduce_mod_cyclotomic
-from qlucas.qcombinatorics import q_binomial, q_ratio
+from qlucas.intpoly import IntPolynomial, NotDivisible, reduce_mod_cyclotomic
+from qlucas.landau import check_landau
+from qlucas.qcombinatorics import multisum, q_binomial, q_ratio
 from qlucas.series import (
     InsufficientTruncation,
     NotPrime,
@@ -17,6 +20,7 @@ from qlucas.series import (
     specialize,
     verify_definition_Ld,
 )
+from strategies import balanced_specs
 
 P = IntPolynomial
 
@@ -156,6 +160,27 @@ class TestSpecialize:
             specialize(s, (0, 0), (1, 1), 10)
         with pytest.raises(ValueError):
             specialize(s, (0,), (1, 1), 4)
+
+
+class TestMultisum:
+    @settings(max_examples=40, deadline=None)
+    @given(balanced_specs(max_dim=3), st.data())
+    def test_matches_specialized_box(self, spec, data):
+        # Oracle: the whole box 0..order // m_j, substituted and truncated.
+        assume(check_landau(spec).integrality)
+        t = data.draw(st.tuples(*[st.integers(0, 3)] * spec.dim))
+        m = data.draw(st.tuples(*[st.integers(1, 3)] * spec.dim))
+        order = data.draw(st.integers(0, 8))
+        series = specialize(build_F(spec, tuple(order // mj for mj in m)), t, m, order)
+        assert multisum(spec, t, m, order) == [series.coeff((N,)) for N in range(order + 1)]
+
+    def test_refuses_zero_m(self):
+        with pytest.raises(ValueError, match=r"^m\[1\] = 0 folds unboundedly many exponents"):
+            multisum(APERY, (0, 0), (1, 0), 4)
+
+    def test_non_polynomial_point_raises(self):
+        with pytest.raises(NotDivisible):
+            multisum(INVERSE, (0,), (1,), 4)
 
 
 class TestExtractCofactor:
