@@ -18,10 +18,9 @@ can be written at. The residue itself is memoized by qcombinatorics for the
 whole process, keyed by the exponent vector and b, so a sweep that repeats
 an earlier one's moduli (a larger b_max, or verify_inter2_identity at the
 same scaled points) reuses its residues. The Apery-type sums are
-qcombinatorics.multisum of a family's spec; they and their residues modulo
-cyclotomic(b) live in the same cache, keyed (family, t, n) and
-(family, t, n, b), so each is built once for the whole process until the
-cache is emptied (see verify_apery).
+qcombinatorics.multisum of a family's spec; qcombinatorics keeps them, and
+their residues modulo each cyclotomic(b), as whole tables in the same cache,
+so each is built once for the whole process until the cache is emptied.
 
 Counts and boxes are checked before the hypotheses, by
 qcombinatorics._check_ints and _check_vector: a bool or non-integer, or a
@@ -38,17 +37,16 @@ from functools import cache, partial
 from typing import Callable, Optional, Sequence
 
 from . import catalog
-from .intpoly import IntPolynomial, _reduce_cyclotomic
+from .intpoly import IntPolynomial
 from .landau import check_landau
 from .qcombinatorics import (
     RatioSpec,
-    _cache_put,
     _check_ints,
     _check_vector,
-    _residue_power_cache,
+    _multisum_residues,
+    _multisum_table,
     cyclotomic_exponents,
     exponent_residue,
-    multisum,
     q_ratio_at_one,
     q_ratio_mod,
 )
@@ -283,21 +281,11 @@ def apery_polynomial(family: str, t: int, n: int) -> IntPolynomial:
     sum_k q^(t k) qbinom(n, k)^2 qbinom(n+k, k)^r with r = 1 for 'a' and
     r = 2 for 'b', which the tests check. At q = 1 these collapse to the
     classical integer sequences (catalog.apery_number_sequence). The sum
-    is read from the residue cache under (family, t, n), or on a miss
-    walked to by _apery_sums.
+    is indexed in qcombinatorics._multisum_table, which walks to n only when
+    the residue cache holds no table of the spec that long.
     """
     _check_ints(t=(t, 0), n=(n, 0))
-    hit = _residue_power_cache.get((family, t, n))
-    return _apery_sums(family, t, n)[n] if hit is None else IntPolynomial._raw(hit)
-
-
-def _apery_sums(family: str, t: int, total: int) -> list[IntPolynomial]:
-    """The family's sums at n <= total, by one walk; each is stored in the
-    residue cache under (family, t, n)."""
-    sums = multisum(catalog.apery_family_spec(family), (t, 0), (1, 1), total)
-    for n, s in enumerate(sums):
-        _cache_put((family, t, n), s.coeffs)
-    return sums
+    return IntPolynomial._raw(_multisum_table(catalog.apery_family_spec(family), (t, 0), (1, 1), n)[n])
 
 
 def check_cofactor(
@@ -333,30 +321,20 @@ def verify_apery(family: str, t: int, b_max: int, total_max: int) -> CongruenceR
     Covers every b = 1..b_max, m = 0..b-1, and n >= 0 with m + n b <=
     total_max, in order of m + n b within each b. The right side uses the
     integer-only sequence values, so the check crosses two independent
-    routes to the same numbers. The residue of the sum at n modulo
-    cyclotomic(b) is read from the residue cache under (family, t, n, b), or
-    reduced from the sum under (family, t, n). If that is missing too, the
-    call walks once, to total_max, and keeps the sums for the rest of the
-    call, so a cache emptied mid-sweep costs no second walk.
+    routes to the same numbers. The residues modulo cyclotomic(b) are one
+    table per modulus (qcombinatorics._multisum_residues), so a repeat at
+    an equal or smaller b_max and total_max walks and reduces nothing. A
+    cache emptied between two moduli costs one more walk, which at the
+    cache's cap takes thousands of residues stored within the call.
     """
     _check_ints(t=(t, 0), b_max=(b_max, 1), total_max=(total_max, 0))
     at_one = catalog.apery_number_sequence(family, total_max)
+    spec = catalog.apery_family_spec(family)
     report = CongruenceReport(
         subject=f"apery-{family}",
         ranges={"t": t, "b_max": b_max, "total_max": total_max},
     )
-    sums: list[IntPolynomial] = []
-
-    def residue(n: int, b: int) -> IntPolynomial:
-        hit = _residue_power_cache.get((family, t, n, b))
-        if hit is None:
-            coeffs = sums[n].coeffs if sums else _residue_power_cache.get((family, t, n))
-            if coeffs is None:
-                sums[:] = _apery_sums(family, t, total_max)
-                coeffs = sums[n].coeffs
-            hit = _cache_put((family, t, n, b), tuple(_reduce_cyclotomic(coeffs, b)))
-        return IntPolynomial._raw(hit)
-
     for b in range(1, b_max + 1):
-        check_cofactor(lambda x: residue(x[0], b), total_max + 1, at_one, b, report)
+        residues = _multisum_residues(spec, (t, 0), (1, 1), total_max, b)
+        check_cofactor(lambda x: IntPolynomial._raw(residues[x[0]]), total_max + 1, at_one, b, report)
     return report

@@ -4,11 +4,11 @@ For a spec with vectors e_1..e_u over f_1..f_v the step function is
 
     delta(x) = sum_i floor(e_i . x) - sum_j floor(f_j . x).
 
-Its sign pattern on the unit box decides two properties of the factorial
-ratio: the ratio is a polynomial at every point iff delta >= 0 everywhere
-(the exponent of every cyclotomic factor is a value of delta), and the
-stronger hypothesis used by the congruence verifiers asks delta >= 1 on the
-subdomain D of points where some t . x >= 1.
+Its sign pattern on the unit box, with the column sums, decides two
+properties of the factorial ratio: the ratio is a polynomial at every point
+iff delta >= 0 everywhere (the exponent of every cyclotomic factor is a
+value of delta), and the congruence verifiers' stronger hypothesis asks
+delta >= 1 on the subdomain D of points where some t . x >= 1.
 
 The unit box splits into finitely many cells on which every floor(t . x) is
 constant. A cell is cut out by weak lower bounds t . x >= m_t, strict upper
@@ -131,8 +131,9 @@ class LandauReport:
 
     @property
     def integrality(self) -> bool:
-        """delta >= 0 on the unit box."""
-        return self.min_value_overall >= 0
+        """delta >= 0 on the unit box, and no column sum of f above e's: then
+        delta(x + z) = delta(x) + (total_e - total_f) . z >= 0 for integer z >= 0."""
+        return self.min_value_overall >= 0 and all(map(operator.ge, self.spec.total_e, self.spec.total_f))
 
     @property
     def criterion_D(self) -> bool:

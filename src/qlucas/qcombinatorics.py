@@ -28,8 +28,9 @@ from the origin, q_binomial the step from the origin to (k, n - k) on the
 two-variable binomial spec. One walk, _ratio_walk, steps each point of a
 box or of a simplex {n : m . n <= order} from its predecessor: q_ratio_box
 collects the box, and multisum adds the simplex into the sums
-S(N) = sum over m . n = N of q^(t . n) Q(n), which are the coefficients of
-series.specialize and congruence's Apery-type sums.
+S(N) = sum over m . n = N of q^(t . n) Q(n), the coefficients of
+series.specialize and congruence's Apery-type sums; the residue cache keeps
+the latter, and their residues, as whole tables (_multisum_table).
 
 Arguments are checked in one place for the whole library: every count a
 public call takes goes through _check_ints, which refuses a non-int or a
@@ -356,20 +357,20 @@ def exponent_residue(exponents: Mapping[int, int], b: int) -> IntPolynomial:
 
 
 # Memo of the residue route, shared by all sweeps of a process, with
-# coefficient tuples as values, under five key shapes that cannot collide:
-# base residues cyclotomic(c) mod cyclotomic(b) keyed (c, b), pooled powers
-# base^ex mod cyclotomic(b) keyed (base, ex, b) with base a tuple, residues
-# of a whole exponent vector keyed (b, (c, ex), ...), and, with family a
-# str, the Apery-type sums of congruence keyed (family, t, n) and their
-# residues keyed (family, t, n, b). A whole residue pays off only when a
-# process asks again for the same (exponent vector, b), as a sweep at
-# several b_max does. An insert into a cache holding
+# coefficient tuples (or tables of them) as values, under five key shapes
+# that cannot collide: base residues cyclotomic(c) mod cyclotomic(b) keyed
+# (c, b), pooled powers base^ex mod cyclotomic(b) keyed (base, ex, b) with
+# base a tuple, residues of a whole exponent vector keyed (b, (c, ex), ...),
+# and, with spec a RatioSpec, the table of multisum's sums keyed (spec, t, m)
+# and the table of their residues keyed (spec, t, m, b). A whole residue
+# pays off only when a process asks again for the same (exponent vector, b),
+# as a sweep at several b_max does. An insert into a cache holding
 # _RESIDUE_POWER_CACHE_MAX entries empties it first. One pass of the sweep
 # benchmark (90 calls, seeds 1-3) leaves about 2,500 entries: 661 base
-# residues, about 950 powers and 850-900 whole residues. One pass of the
-# apery benchmark leaves about 1,300 entries: for 4 (family, t) pairs, the
-# sums at n <= 24 and their residues at b <= 12.
-_residue_power_cache: dict[tuple, tuple[int, ...]] = {}
+# residues, about 950 powers and 850-900 whole residues. The apery
+# benchmark's Apery sweeps leave 52 entries: for 4 (family, t) pairs, the
+# sums at n <= 24 and their residues at each b <= 12.
+_residue_power_cache: dict[tuple, tuple] = {}
 _RESIDUE_POWER_CACHE_MAX = 2**16
 
 
@@ -428,6 +429,26 @@ def multisum(spec: RatioSpec, t: Sequence[int], m: Sequence[int], order: int) ->
         total += [0] * (hi - len(total))
         total[lo:hi] = map(operator.add, total[lo:hi], value.coeffs)
     return [IntPolynomial(total) for total in sums]
+
+
+def _multisum_table(spec: RatioSpec, t: Vector, m: Vector, order: int) -> tuple:
+    """multisum's sums, at least S(0)..S(order), as coefficient tuples, kept
+    in the residue cache under (spec, t, m); walks again only when the stored
+    table is shorter than order + 1."""
+    table = _residue_power_cache.get((spec, t, m), ())
+    if len(table) <= order:
+        table = _cache_put((spec, t, m), tuple(s.coeffs for s in multisum(spec, t, m, order)))
+    return table
+
+
+def _multisum_residues(spec: RatioSpec, t: Vector, m: Vector, order: int, b: int) -> tuple:
+    """The residues of _multisum_table's sums modulo cyclotomic(b), at least
+    up to order, kept under (spec, t, m, b); each sum is reduced once."""
+    done = _residue_power_cache.get((spec, t, m, b), ())
+    if len(done) <= order:
+        sums = _multisum_table(spec, t, m, order)[len(done) : order + 1]
+        done = _cache_put((spec, t, m, b), done + tuple(tuple(_reduce_cyclotomic(s, b)) for s in sums))
+    return done
 
 
 def _check_multisum(spec: RatioSpec, t: Sequence[int], m: Sequence[int], order: int) -> tuple:

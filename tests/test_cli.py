@@ -346,6 +346,35 @@ class TestExitCodes:
         m = tuple(map(int, m.split(",")))
         assert err == f"error: m {m} must be nonnegative integers of length 2\n"
 
+    @pytest.mark.parametrize("spec", [
+        {"dim": 1, "e": [[1]], "f": [[1], [1]]},
+        {"dim": 2, "e": [[1, 1]], "f": [[1, 0], [0, 1], [0, 1]]},
+    ], ids=["one-over-factorial", "short-second-column"])
+    def test_short_column_is_not_integral(self, capsys, monkeypatch, tmp_path, spec):
+        # delta >= 0 on the unit box, but a column sum of f exceeds e's, so
+        # delta turns negative at a larger point: check-landau says so, and
+        # the series commands refuse before any ratio is computed.
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, envelope = run_json(capsys, ["check-landau", "--spec", str(path)])
+        report = envelope["report"]
+        assert code == 1
+        assert (report["integrality"], report["min_value_overall"]) == (False, 0)
+
+        def no_step(*args):
+            raise RuntimeError("a ratio was computed")
+
+        monkeypatch.setattr(qcombinatorics, "_ratio_step", no_step)
+        cap = ",".join(["4"] * spec["dim"])
+        for command in (
+            ["build-series", "--cap", cap],
+            ["specialize", "--order", "4"],
+            ["extract-cofactor", "--order", "4", "--b", "2"],
+        ):
+            code, out, err = run(capsys, command + ["--spec", str(path)])
+            assert (code, out) == (2, "")
+            assert err == "error: series coefficients would not all be polynomials\n"
+
     def test_at_one_excludes_mod(self, capsys):
         code, out, err = run(capsys, ["qratio", "--spec", "central", "--point", "3", "--mod", "5", "--at-one"])
         assert (code, out) == (2, "")

@@ -332,10 +332,15 @@ def counting_reductions(monkeypatch) -> list:
     return calls
 
 
+def table_key(family: str, t: int, *b: int) -> tuple:
+    """The residue cache key of a family's sums at weight t, or with b of their residues."""
+    return (catalog.apery_family_spec(family), (t, 0), (1, 1), *b)
+
+
 class TestAperyResidueMemo:
     # The Apery sums and their residues live in the process-wide residue
-    # cache, keyed (family, t, n) and (family, t, n, b), next to the
-    # residues of the ratio sweeps.
+    # cache as whole tables, keyed (spec, t, m) and (spec, t, m, b), next to
+    # the residues of the ratio sweeps.
     SWEEPS = [
         functools.partial(verify_apery, family, t, b_max, total)
         for family in ("a", "b")
@@ -362,11 +367,13 @@ class TestAperyResidueMemo:
     def test_repeat_at_equal_or_smaller_b_max_reduces_nothing(self, monkeypatch, cold_caches):
         first = verify_apery("b", 1, 6, 12).to_json_dict()
         calls = counting_reductions(monkeypatch)
+        # and walks nothing: the table of sums is read from the cache
+        monkeypatch.setattr(qcombinatorics, "multisum", None)
         assert verify_apery("b", 1, 6, 12).to_json_dict() == first
         for b_max, total in ((3, 12), (6, 7), (1, 0)):
             assert verify_apery("b", 1, b_max, total).ok
         assert calls == []
-        assert ("b", 1, 12, 6) in qcombinatorics._residue_power_cache
+        assert len(qcombinatorics._residue_power_cache[table_key("b", 1, 6)]) == 13
         # A larger b_max reduces only the new moduli, once per index.
         verify_apery("b", 1, 8, 12)
         assert sorted(calls) == [7] * 13 + [8] * 13
@@ -379,10 +386,16 @@ class TestAperyResidueMemo:
         for call, want in zip(calls, warm):
             assert call().to_json_dict() == want
             assert len(qcombinatorics._residue_power_cache) <= 10
-        # One sweep stores more residues than the cap, so the cache was emptied
-        # in the middle of it.
-        verify_apery("b", 1, 6, 12)
-        assert ("b", 1, 0, 1) not in qcombinatorics._residue_power_cache
+        # One sweep stores more tables than the cap, so the cache was emptied
+        # in the middle of it, and the sums were walked again for its last moduli.
+        cold_caches()
+        walks = []
+        real = qcombinatorics.multisum
+        monkeypatch.setattr(qcombinatorics, "multisum", lambda *args: walks.append(args) or real(*args))
+        verify_apery("b", 1, 12, 12)
+        assert len(walks) == 2
+        assert table_key("b", 1, 1) not in qcombinatorics._residue_power_cache
+        assert table_key("b", 1, 12) in qcombinatorics._residue_power_cache
 
     def test_emptied_cache_starts_cold(self, monkeypatch, cold_caches):
         # The cache is the only memo of the sums: once emptied, a repeated
